@@ -57,6 +57,23 @@ def _value_payload(v: formulas.ValueOrInterval) -> dict:
     return out
 
 
+def _emit_abort(args, err: CapabilityError) -> int:
+    """Report an exceeded capability or budget with its partial result; exit 2."""
+    payload: dict = {"error": str(err)}
+    lines = [f"budget exceeded: {err}"]
+    rep = err.partial
+    if rep is not None:
+        payload.update(quantity=rep.quantity, nodes=rep.nodes_explored)
+        if isinstance(rep, search.SearchReport):
+            payload.update(_value_payload(rep.value))
+            lines.extend(_value_lines(rep.value))
+        else:
+            payload["notes"] = list(rep.notes)
+            lines.extend(rep.notes)
+    _emit(args, payload, lines)
+    return 2
+
+
 def _maybe_write_witness(args, coloring: EdgeColoring | None) -> str | None:
     path = getattr(args, "witness_out", None)
     if path and coloring is not None:
@@ -161,14 +178,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    threads = args.threads
     try:
         if args.quantity == "ramsey":
             if not args.red or not args.blue:
                 raise RamseykitError("ramsey needs --red and --blue patterns")
             rep = search.brute_force_ramsey(
                 parse_pattern(args.red), parse_pattern(args.blue), args.max_n,
-                node_budget=args.budget, threads=threads,
+                node_budget=args.budget,
             )
         elif args.quantity == "bk":
             if not args.target or args.k is None:
@@ -181,12 +197,7 @@ def _cmd_compute(args) -> int:
         else:
             raise RamseykitError(f"unknown quantity {args.quantity!r}")
     except CapabilityError as err:
-        rep = err.partial
-        if rep is None:
-            raise
-        lines = [f"budget exceeded: {err}"] + _value_lines(rep.value)
-        _emit(args, {"error": str(err), **_value_payload(rep.value)}, lines)
-        return 2
+        return _emit_abort(args, err)
     written = _maybe_write_witness(args, rep.extremal_witness)
     lines = _value_lines(rep.value)
     lines.append(f"nodes {rep.nodes_explored}")
@@ -254,9 +265,10 @@ def _cmd_check(args) -> int:
         if args.n < min_n:
             raise RamseykitError(f"check {args.lemma} needs --n >= {min_n}")
         size, required = build(args.n)
-        rep = search.universal_check(
-            size, [(1, Kipas(args.n))], required, threads=args.threads
-        )
+        try:
+            rep = search.universal_check(size, [(1, Kipas(args.n))], required)
+        except CapabilityError as err:
+            return _emit_abort(args, err)
         witness = _maybe_write_witness(args, rep.counterexample)
         lines = [
             f"{'holds' if rep.holds else 'counterexample'} over all 2-colorings of K_{size}",
@@ -302,12 +314,10 @@ def _cmd_grverify(args) -> int:
     target = parse_pattern(args.target)
     try:
         rep = search.gr_desk_verify(
-            args.k, rainbow, target, args.N, mode=args.mode,
-            node_budget=args.budget, threads=args.threads,
+            args.k, rainbow, target, args.N, mode=args.mode, node_budget=args.budget,
         )
     except CapabilityError as err:
-        print(f"budget exceeded: {err}")
-        return 2
+        return _emit_abort(args, err)
     witness = _maybe_write_witness(args, rep.counterexample)
     lines = [f"{'holds' if rep.holds else 'counterexample'}", f"nodes {rep.nodes_explored}"]
     lines.extend(rep.notes)
@@ -394,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_compute)
@@ -419,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
@@ -431,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--mode", choices=["full", "structure"], default="structure")
     p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness-out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_grverify)

@@ -853,24 +853,30 @@ def max_linear_forest(
 
 def has_rainbow(coloring: EdgeColoring, p: PatternSpec) -> Embedding | None:
     """An embedding of p whose edges carry pairwise distinct colors, or None."""
-    order = pattern_order(p)
-    if order > 5:
+    if pattern_order(p) > 5:
         raise CapabilityError("rainbow detection supports patterns on at most 5 vertices")
-    edges = pattern_edges(p)
-    n = coloring.n_vertices
+    w = rainbow_map(coloring.n_vertices, coloring.colors, p)
+    return None if w is None else Embedding(p, w, color=None)
+
+
+def rainbow_map(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
+    """Smallest vertex map of a rainbow copy of p in a flat color array.
+
+    ``colors`` is indexed by ``pair_rank``; a 0 marks an undecided edge,
+    which no copy may use, so search engines run it on partial colorings.
+    """
+    if isinstance(p, Star):
+        return _rainbow_star_map(n, colors, p.leaves)
+    order = pattern_order(p)
     if order > n:
         return None
-    if isinstance(p, Star):
-        w = _find_rainbow_star(coloring, p.leaves)
-        return None if w is None else Embedding(p, w, color=None)
-
     nbrs: list[list[int]] = [[] for _ in range(order)]
-    for a, b in edges:
+    for a, b in pattern_edges(p):
         nbrs[a].append(b)
         nbrs[b].append(a)
     mapping = [-1] * order
     used = 0
-    colors_taken: set[int] = set()
+    taken: set[int] = set()
 
     def place(i: int):
         nonlocal used
@@ -883,55 +889,38 @@ def has_rainbow(coloring: EdgeColoring, p: PatternSpec) -> Embedding | None:
             ok = True
             for w in nbrs[i]:
                 if w < i:
-                    col = coloring.color_of(mapping[w], hv)
-                    if col in colors_taken or col in new_cols:
+                    a = mapping[w]
+                    c = colors[pair_rank(a, hv, n) if a < hv else pair_rank(hv, a, n)]
+                    if c == 0 or c in taken or c in new_cols:
                         ok = False
                         break
-                    new_cols.append(col)
+                    new_cols.append(c)
             if not ok:
                 continue
             mapping[i] = hv
             used |= 1 << hv
-            colors_taken.update(new_cols)
+            taken.update(new_cols)
             got = place(i + 1)
             if got:
                 return got
-            colors_taken.difference_update(new_cols)
+            taken.difference_update(new_cols)
             used &= ~(1 << hv)
             mapping[i] = -1
         return None
 
-    w = place(0)
-    return None if w is None else Embedding(p, w, color=None)
+    return place(0)
 
 
-def rainbow_star_present(coloring_colors: Sequence[int], n: int, leaves: int) -> bool:
-    """Fast rainbow-star test on a flat color array (0 = undecided)."""
+def _rainbow_star_map(n: int, colors: Sequence[int], leaves: int) -> tuple[int, ...] | None:
+    """First center (then its first leaves) meeting ``leaves`` distinct decided colors."""
     for v in range(n):
-        seen: set[int] = set()
+        first: dict[int, int] = {}  # color -> first leaf carrying it
         for u in range(n):
             if u == v:
                 continue
-            c = coloring_colors[pair_rank(min(u, v), max(u, v), n)]
-            if c:
-                seen.add(c)
-                if len(seen) >= leaves:
-                    return True
-    return False
-
-
-def _find_rainbow_star(coloring: EdgeColoring, leaves: int) -> tuple[int, ...] | None:
-    n = coloring.n_vertices
-    for v in range(n):
-        picked: list[int] = []
-        seen: set[int] = set()
-        for u in range(n):
-            if u == v:
-                continue
-            c = coloring.color_of(min(u, v), max(u, v))
-            if c not in seen:
-                seen.add(c)
-                picked.append(u)
-                if len(picked) == leaves:
-                    return (v, *picked)
+            c = colors[pair_rank(u, v, n) if u < v else pair_rank(v, u, n)]
+            if c and c not in first:
+                first[c] = u
+                if len(first) == leaves:
+                    return (v, *first.values())
     return None

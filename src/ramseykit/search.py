@@ -7,7 +7,11 @@ it too.  Surviving leaves are exactly the colorings avoiding every tracked
 pattern.  Counterexamples are therefore the lexicographically least in
 enumeration order (edges lexicographic, colors ascending).
 
-Node and wall-time budgets abort with a partial result attached to a
+Every engine is one call of :func:`_scan`, which takes the allowed colors
+of each edge: all k for a full enumeration, a single color for an edge a
+family or shape fixes, a pair inside a part of the bk or t family.
+
+Node budgets abort with a partial result attached to a
 :class:`CapabilityError` rather than running unbounded.
 """
 
@@ -15,11 +19,10 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
-from .coloring import EdgeColoring, pair_iter, pair_rank
+from .coloring import EdgeColoring, pair_iter
+from .constructions import _T_CROSS, _T_INTERNAL
 from .errors import CapabilityError, DomainError
 from .formulas import UNBOUNDED, ValueOrInterval, exact, interval
 from .patterns import (
@@ -32,11 +35,11 @@ from .patterns import (
     format_pattern,
     kipas_exists,
     mono_present,
-    pattern_edges,
     pattern_min_edges,
     pattern_order,
-    rainbow_star_present,
+    rainbow_map,
 )
+from .structure import CONTEXT_SHAPES, SHAPES
 
 #: color key marking a rainbow (rather than monochromatic) tracked pattern
 RAINBOW = 0
@@ -69,179 +72,111 @@ class CheckReport:
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit", "deadline")
+    __slots__ = ("nodes", "limit")
 
-    def __init__(self, limit: int, time_limit: float | None = None):
+    def __init__(self, limit: int):
         self.nodes = 0
         self.limit = limit
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
 
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount
         if self.nodes > self.limit:
             raise CapabilityError(f"search exceeded {self.limit} nodes")
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise CapabilityError("search exceeded its time budget")
 
 
-def _rainbow_present_partial(n: int, ecolor: list[int], pattern: PatternSpec) -> bool:
-    """Rainbow copy among decided edges only (undecided edges never match)."""
-    if isinstance(pattern, Star):
-        return rainbow_star_present(ecolor, n, pattern.leaves)
-    order = pattern_order(pattern)
-    if order > n:
-        return False
-    edges = pattern_edges(pattern)
-    nbrs: list[list[int]] = [[] for _ in range(order)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    mapping = [-1] * order
-    used = 0
-    taken: set[int] = set()
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == order:
-            return True
-        for hv in range(n):
-            if (used >> hv) & 1:
-                continue
-            new_cols = []
-            ok = True
-            for w in nbrs[i]:
-                if w < i:
-                    a, b = mapping[w], hv
-                    c = ecolor[pair_rank(min(a, b), max(a, b), n)]
-                    if c == 0 or c in taken or c in new_cols:
-                        ok = False
-                        break
-                    new_cols.append(c)
-            if not ok:
-                continue
-            mapping[i] = hv
-            used |= 1 << hv
-            taken.update(new_cols)
-            if place(i + 1):
-                return True
-            taken.difference_update(new_cols)
-            used &= ~(1 << hv)
-            mapping[i] = -1
-        return False
-
-    return place(0)
-
-
-class _Tracked:
-    """Per-engine bookkeeping for one tracked (color, pattern) pair."""
-
-    __slots__ = ("key", "pattern", "min_edges", "order")
-
-    def __init__(self, key: int, pattern: PatternSpec):
-        self.key = key
-        self.pattern = pattern
-        self.min_edges = pattern_min_edges(pattern)
-        if isinstance(pattern, LinearForestMin):
-            # a forest with m edges needs at least m+1 vertices
-            self.order = pattern.min_edges + 1
-        else:
-            self.order = pattern_order(pattern)
-
-
-def _full_scan(
+def _scan(
     n: int,
     k: int,
+    allowed: list[tuple[int, ...]],
     tracked: list[tuple[int, PatternSpec]],
     surjective: bool,
     budget: _Budget,
-    threads: int = 1,
-) -> list[int] | None:
-    """First full coloring of K_n (colors 1..k) avoiding every tracked pattern.
+) -> EdgeColoring | None:
+    """First coloring of K_n, edge i colored from ``allowed[i]``, avoiding every
+    tracked pattern.
 
-    A tracked pair (color, pattern) prunes a branch once the pattern shows up
-    in that color class of the decided edges; the RAINBOW key tracks rainbow
-    copies instead.  ``surjective`` keeps only colorings using all k colors.
+    ``allowed`` holds one color tuple per edge in ``pair_rank`` order.  An
+    edge with a single allowed color is fixed: fixed edges are placed up
+    front, and the fixed prefix is checked once per distinct fixed color,
+    one node each.  The free edges are then decided in rank order, one node
+    per color tried.  A tracked pair (color, pattern) prunes a branch once
+    the pattern shows up in that color class of the decided edges; the
+    RAINBOW key tracks rainbow copies instead.  ``surjective`` keeps only
+    colorings using all k colors; the result is flagged exact when it uses
+    them all.
     """
-    m = n * (n - 1) // 2
     edges = list(pair_iter(n))
-    specs = [_Tracked(key, p) for key, p in tracked]
-    # patterns too large to ever appear never prune anything
-    specs = [s for s in specs if s.key == RAINBOW or s.order <= n]
-    mono_by_color: dict[int, list[_Tracked]] = {}
-    rainbow_specs: list[_Tracked] = []
-    for s in specs:
-        if s.key == RAINBOW:
-            rainbow_specs.append(s)
+    ecolor = [0] * len(edges)
+    adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
+    class_edges = [0] * (k + 1)
+    mono: list[list[tuple[int, PatternSpec]]] = [[] for _ in range(k + 1)]
+    rainbow: list[PatternSpec] = []
+    for key, p in tracked:
+        if key == RAINBOW:
+            rainbow.append(p)
+            continue
+        # a forest with m edges needs at least m+1 vertices
+        order = p.min_edges + 1 if isinstance(p, LinearForestMin) else pattern_order(p)
+        if order <= n and 1 <= key <= k:  # larger patterns never appear
+            mono[key].append((pattern_min_edges(p), p))
+
+    def put(i: int, c: int) -> None:
+        u, v = edges[i]
+        ecolor[i] = c
+        adj[c][u] |= 1 << v
+        adj[c][v] |= 1 << u
+        class_edges[c] += 1
+
+    def pruned(c: int) -> bool:
+        for min_edges, p in mono[c]:
+            if class_edges[c] >= min_edges and mono_present(n, adj[c], p):
+                return True
+        for p in rainbow:
+            if rainbow_map(n, ecolor, p) is not None:
+                return True
+        return False
+
+    free = []
+    for i, choices in enumerate(allowed):
+        if len(choices) == 1:
+            put(i, choices[0])
         else:
-            mono_by_color.setdefault(s.key, []).append(s)
-
-    # patterns present in the empty graph (single-vertex paths) hold everywhere
-    for s in specs:
-        if s.key != RAINBOW and s.min_edges == 0:
-            return None
-
-    def run_branch(first_color: int | None) -> list[int] | None:
-        ecolor = [0] * m
-        adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
-        class_edges = [0] * (k + 1)
-
-        def assign(idx: int, c: int) -> bool:
-            """Returns False when the branch is pruned by a tracked pattern."""
-            u, v = edges[idx]
-            ecolor[idx] = c
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-            class_edges[c] += 1
-            for s in mono_by_color.get(c, ()):
-                if class_edges[c] >= s.min_edges and mono_present(n, adj[c], s.pattern):
-                    return False
-            for s in rainbow_specs:
-                if _rainbow_present_partial(n, ecolor, s.pattern):
-                    return False
-            return True
-
-        def unassign(idx: int, c: int) -> None:
-            u, v = edges[idx]
-            ecolor[idx] = 0
-            adj[c][u] &= ~(1 << v)
-            adj[c][v] &= ~(1 << u)
-            class_edges[c] -= 1
-
-        def dfs(idx: int) -> list[int] | None:
-            if idx == m:
-                if surjective and any(class_edges[c] == 0 for c in range(1, k + 1)):
-                    return None
-                return list(ecolor)
-            for c in range(1, k + 1):
-                budget.spend()
-                ok = assign(idx, c)
-                if ok:
-                    got = dfs(idx + 1)
-                    if got is not None:
-                        return got
-                unassign(idx, c)
-            return None
-
-        if first_color is None:
-            return dfs(0)
+            free.append(i)
+    for c in sorted({choices[0] for choices in allowed if len(choices) == 1}):
         budget.spend()
-        if m == 0:
-            return dfs(0)
-        ok = assign(0, first_color)
-        result = dfs(1) if ok else None
-        unassign(0, first_color)
-        return result
+        if pruned(c):
+            return None
+    # patterns present in the empty graph (single-vertex paths) hold everywhere
+    if any(min_edges == 0 for specs in mono for min_edges, _ in specs):
+        return None
 
-    if threads <= 1 or m == 0:
-        return run_branch(None)
-    with ThreadPoolExecutor(max_workers=min(threads, k)) as pool:
-        futures = [pool.submit(run_branch, c) for c in range(1, k + 1)]
-        results = [f.result() for f in futures]
-    for res in results:  # branches are in enumeration order already
-        if res is not None:
-            return res
-    return None
+    def dfs(j: int) -> EdgeColoring | None:
+        if j == len(free):
+            exact = 0 not in class_edges[1:]
+            if surjective and not exact:
+                return None
+            return EdgeColoring(n, k, ecolor, exact_flag=exact)
+        i = free[j]
+        u, v = edges[i]
+        bu, bv = 1 << u, 1 << v
+        for c in allowed[i]:
+            budget.spend()
+            ecolor[i] = c
+            row = adj[c]
+            row[u] |= bv
+            row[v] |= bu
+            class_edges[c] += 1
+            if not pruned(c):
+                got = dfs(j + 1)
+                if got is not None:
+                    return got
+            ecolor[i] = 0
+            row[u] &= ~bv
+            row[v] &= ~bu
+            class_edges[c] -= 1
+        return None
+
+    return dfs(0)
 
 
 def _size_multisets(total: int, count: int, min_size: int):
@@ -259,139 +194,89 @@ def _size_multisets(total: int, count: int, min_size: int):
     yield from rec(total, count, min_size)
 
 
-def _family_counterexample(
+def _parts_counterexample(
     n: int,
     k: int,
-    parts: list[range],
-    cross_color: dict[tuple[int, int], int],
-    internal_choices: list[tuple[int, int]],
+    part_sizes,
+    cross: dict[tuple[int, int], int],
+    internal: list[tuple[int, ...]],
     target: PatternSpec,
     surjective: bool,
     budget: _Budget,
-) -> list[int] | None:
-    """First member of a structured family avoiding a monochromatic target.
+) -> EdgeColoring | None:
+    """First member of a part family of K_n avoiding a monochromatic target.
 
-    ``cross_color`` maps part-index pairs to the fixed cross color;
-    ``internal_choices[i]`` is the ordered color pair allowed inside part i.
-    Internal edges are decided by DFS with the same early-prune rule.
+    Parts are consecutive vertex ranges, one split per entry of
+    ``part_sizes``; the edge between parts i < j is fixed to
+    ``cross[(i, j)]`` and an edge inside part i is colored from
+    ``internal[i]``.
     """
-    m = n * (n - 1) // 2
-    ecolor = [0] * m
-    adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
-    class_edges = [0] * (k + 1)
-    where = {}
-    for i, rng in enumerate(parts):
-        for v in rng:
-            where[v] = i
-    t_order = pattern_order(target) if not isinstance(target, LinearForestMin) else 0
-    t_min_edges = pattern_min_edges(target)
-
-    def put(u: int, v: int, c: int):
-        ecolor[pair_rank(u, v, n)] = c
-        adj[c][u] |= 1 << v
-        adj[c][v] |= 1 << u
-        class_edges[c] += 1
-
-    def drop(u: int, v: int, c: int):
-        ecolor[pair_rank(u, v, n)] = 0
-        adj[c][u] &= ~(1 << v)
-        adj[c][v] &= ~(1 << u)
-        class_edges[c] -= 1
-
-    internal_edges: list[tuple[int, int, tuple[int, int]]] = []
-    for i, rng in enumerate(parts):
-        verts = list(rng)
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                internal_edges.append((verts[a], verts[b], internal_choices[i]))
-    for u, v in pair_iter(n):
-        pu, pv = where[u], where[v]
-        if pu != pv:
-            put(u, v, cross_color[(min(pu, pv), max(pu, pv))])
-
-    def present(c: int) -> bool:
-        return (
-            t_order <= n
-            and class_edges[c] >= t_min_edges
-            and mono_present(n, adj[c], target)
-        )
-
-    # the fixed cross edges may already force the target everywhere
-    for c in set(cross_color.values()):
-        budget.spend()
-        if present(c):
-            return None
-
-    def dfs(idx: int) -> list[int] | None:
-        if idx == len(internal_edges):
-            if surjective and any(class_edges[c] == 0 for c in range(1, k + 1)):
-                return None
-            return list(ecolor)
-        u, v, choices = internal_edges[idx]
-        for c in choices:
-            budget.spend()
-            put(u, v, c)
-            if not present(c):
-                got = dfs(idx + 1)
-                if got is not None:
-                    return got
-            drop(u, v, c)
-        return None
-
-    return dfs(0)
-
-
-def _as_coloring(n: int, k: int, ecolor: list[int]) -> EdgeColoring:
-    c = EdgeColoring(n, k, ecolor)
-    if c.colors_used() == frozenset(range(1, k + 1)):
-        c = EdgeColoring(n, k, ecolor, exact_flag=True)
-    return c
+    tracked = [(c, target) for c in range(1, k + 1)]
+    for sizes in part_sizes:
+        where = [i for i, size in enumerate(sizes) for _ in range(size)]
+        allowed = [
+            internal[where[u]] if where[u] == where[v] else (cross[(where[u], where[v])],)
+            for u, v in pair_iter(n)
+        ]
+        got = _scan(n, k, allowed, tracked, surjective, budget)
+        if got is not None:
+            return got
+    return None
 
 
 def _bk_counterexample(
     k: int, n: int, target: PatternSpec, surjective: bool, budget: _Budget
 ) -> EdgeColoring | None:
     """First bk member of K_n avoiding the target in every color."""
-    if n < 2 * (k - 1):
-        return None  # the family is empty at this size
-    for sizes in _size_multisets(n, k - 1, 2):
-        parts = []
-        base = 0
-        for s in sizes:
-            parts.append(range(base, base + s))
-            base += s
-        cross = {
-            (i, j): 1 for i in range(k - 1) for j in range(i + 1, k - 1)
-        }
-        internal = [(1, i + 2) for i in range(k - 1)]
-        got = _family_counterexample(
-            n, k, parts, cross, internal, target, surjective, budget
-        )
-        if got is not None:
-            return _as_coloring(n, k, got)
-    return None
+    cross = {(i, j): 1 for i in range(k - 1) for j in range(i + 1, k - 1)}
+    internal = [(1, i + 2) for i in range(k - 1)]
+    return _parts_counterexample(
+        n, k, _size_multisets(n, k - 1, 2), cross, internal, target, surjective, budget
+    )
 
 
 def _t_counterexample(
     n: int, target: PatternSpec, surjective: bool, budget: _Budget
 ) -> EdgeColoring | None:
     """First t member of K_n avoiding the target in every color."""
-    if n < 3:
-        return None
-    cross = {(0, 1): 1, (1, 2): 2, (0, 2): 3}
-    internal = [(1, 3), (1, 2), (2, 3)]
-    for sizes in _size_multisets(n, 3, 1):
-        parts = []
-        base = 0
-        for s in sizes:
-            parts.append(range(base, base + s))
-            base += s
-        got = _family_counterexample(
-            n, 3, parts, cross, internal, target, surjective, budget
-        )
-        if got is not None:
-            return _as_coloring(n, 3, got)
-    return None
+    internal = [tuple(sorted(pair)) for pair in _T_INTERNAL]
+    return _parts_counterexample(
+        n, 3, _size_multisets(n, 3, 1), _T_CROSS, internal, target, surjective, budget
+    )
+
+
+def _threshold_scan(
+    quantity: str,
+    sizes: range,
+    counterexample,
+    node_budget: int,
+    beyond: str,
+) -> SearchReport:
+    """Smallest size in ``sizes`` where ``counterexample(n, budget)`` finds none.
+
+    The extremal witness is the counterexample on the size before.  Past the
+    last size the value is an interval with the caveat ``beyond``; a budget
+    abort carries the interval reached so far as its partial result.
+    """
+    start = time.monotonic()
+    budget = _Budget(node_budget)
+    witness: EdgeColoring | None = None
+
+    def report(value: ValueOrInterval) -> SearchReport:
+        return SearchReport(quantity, value, witness, budget.nodes, time.monotonic() - start)
+
+    try:
+        for n in sizes:
+            cex = counterexample(n, budget)
+            if cex is None:
+                return report(exact(n))
+            witness = cex
+    except CapabilityError as err:
+        lo = witness.n_vertices + 1 if witness is not None else sizes.start
+        raise CapabilityError(
+            str(err), partial=report(interval(lo, UNBOUNDED, caveat="aborted on budget"))
+        ) from None
+    return report(interval(sizes.stop, UNBOUNDED, caveat=beyond))
 
 
 def brute_force_ramsey(
@@ -399,7 +284,6 @@ def brute_force_ramsey(
     blue: PatternSpec,
     max_n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> SearchReport:
     """Smallest N <= max_n forcing a red or blue copy in every 2-coloring.
 
@@ -414,42 +298,13 @@ def brute_force_ramsey(
             raise DomainError(
                 f"pattern {format_pattern(p)} does not fit in K_{max_n}"
             )
-    start = time.monotonic()
-    budget = _Budget(node_budget)
-    quantity = f"ramsey({format_pattern(red)}, {format_pattern(blue)})"
-    witness: EdgeColoring | None = None
-    try:
-        for n in range(1, max_n + 1):
-            got = _full_scan(
-                n, 2, [(1, red), (2, blue)], surjective=False, budget=budget, threads=threads
-            )
-            if got is None:
-                return SearchReport(
-                    quantity,
-                    exact(n),
-                    witness,
-                    budget.nodes,
-                    time.monotonic() - start,
-                )
-            witness = _as_coloring(n, 2, got)
-    except CapabilityError as err:
-        lo = witness.n_vertices + 1 if witness is not None else 1
-        raise CapabilityError(
-            str(err),
-            partial=SearchReport(
-                quantity,
-                interval(lo, UNBOUNDED, caveat="aborted on budget"),
-                witness,
-                budget.nodes,
-                time.monotonic() - start,
-            ),
-        ) from None
-    return SearchReport(
-        quantity,
-        interval(max_n + 1, UNBOUNDED, caveat=f"not forced by K_{max_n}"),
-        witness,
-        budget.nodes,
-        time.monotonic() - start,
+    tracked = [(1, red), (2, blue)]
+    return _threshold_scan(
+        f"ramsey({format_pattern(red)}, {format_pattern(blue)})",
+        range(1, max_n + 1),
+        lambda n, budget: _scan(n, 2, [(1, 2)] * (n * (n - 1) // 2), tracked, False, budget),
+        node_budget,
+        f"not forced by K_{max_n}",
     )
 
 
@@ -467,36 +322,12 @@ def compute_bk(
         raise DomainError("need k >= 3")
     if max_n > 14:
         raise DomainError("family-restricted enumeration supports max_n <= 14")
-    start = time.monotonic()
-    budget = _Budget(node_budget)
-    quantity = f"bk(k={k}, {format_pattern(target)})"
-    witness: EdgeColoring | None = None
-    try:
-        for n in range(2 * (k - 1), max_n + 1):
-            cex = _bk_counterexample(k, n, target, surjective=False, budget=budget)
-            if cex is None:
-                return SearchReport(
-                    quantity, exact(n), witness, budget.nodes, time.monotonic() - start
-                )
-            witness = cex
-    except CapabilityError as err:
-        lo = witness.n_vertices + 1 if witness is not None else 2 * (k - 1)
-        raise CapabilityError(
-            str(err),
-            partial=SearchReport(
-                quantity,
-                interval(lo, UNBOUNDED, caveat="aborted on budget"),
-                witness,
-                budget.nodes,
-                time.monotonic() - start,
-            ),
-        ) from None
-    return SearchReport(
-        quantity,
-        interval(max_n + 1, UNBOUNDED, caveat=f"not forced by size {max_n}"),
-        witness,
-        budget.nodes,
-        time.monotonic() - start,
+    return _threshold_scan(
+        f"bk(k={k}, {format_pattern(target)})",
+        range(2 * (k - 1), max_n + 1),
+        lambda n, budget: _bk_counterexample(k, n, target, False, budget),
+        node_budget,
+        f"not forced by size {max_n}",
     )
 
 
@@ -508,36 +339,12 @@ def compute_t(
     """Smallest N <= max_n such that every t member of K_N has a mono target."""
     if max_n > 12:
         raise DomainError("t-family enumeration supports max_n <= 12")
-    start = time.monotonic()
-    budget = _Budget(node_budget)
-    quantity = f"t({format_pattern(target)})"
-    witness: EdgeColoring | None = None
-    try:
-        for n in range(3, max_n + 1):
-            cex = _t_counterexample(n, target, surjective=False, budget=budget)
-            if cex is None:
-                return SearchReport(
-                    quantity, exact(n), witness, budget.nodes, time.monotonic() - start
-                )
-            witness = cex
-    except CapabilityError as err:
-        lo = witness.n_vertices + 1 if witness is not None else 3
-        raise CapabilityError(
-            str(err),
-            partial=SearchReport(
-                quantity,
-                interval(lo, UNBOUNDED, caveat="aborted on budget"),
-                witness,
-                budget.nodes,
-                time.monotonic() - start,
-            ),
-        ) from None
-    return SearchReport(
-        quantity,
-        interval(max_n + 1, UNBOUNDED, caveat=f"not forced by size {max_n}"),
-        witness,
-        budget.nodes,
-        time.monotonic() - start,
+    return _threshold_scan(
+        f"t({format_pattern(target)})",
+        range(3, max_n + 1),
+        lambda n, budget: _t_counterexample(n, target, False, budget),
+        node_budget,
+        f"not forced by size {max_n}",
     )
 
 
@@ -572,13 +379,33 @@ def randomized_kipas_forest_refutation(
     return None
 
 
+def _check(quantity: str, find, node_budget: int, notes: tuple[str, ...] = ()) -> CheckReport:
+    """Run ``find(budget)`` for a counterexample; it holds when none exists.
+
+    A budget abort carries a partial report that draws no conclusion.
+    """
+    start = time.monotonic()
+    budget = _Budget(node_budget)
+    try:
+        cex = find(budget)
+    except CapabilityError as err:
+        raise CapabilityError(
+            str(err),
+            partial=CheckReport(
+                quantity, False, None, budget.nodes, time.monotonic() - start,
+                notes=notes + ("aborted on budget; no conclusion",),
+            ),
+        ) from None
+    return CheckReport(
+        quantity, cex is None, cex, budget.nodes, time.monotonic() - start, notes=notes
+    )
+
+
 def universal_check(
     n: int,
     forbidden: list[tuple[int, PatternSpec]],
     required: list[tuple[int, PatternSpec]],
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
-    time_limit: float | None = None,
 ) -> CheckReport:
     """Does every 2-coloring of K_n avoiding ``forbidden`` contain a ``required``?
 
@@ -588,29 +415,15 @@ def universal_check(
     """
     if n > 11:
         raise DomainError("universal checks support at most 11 vertices")
-    start = time.monotonic()
-    budget = _Budget(node_budget, time_limit)
     desc = "universal(n={}, avoid {}, need {})".format(
         n,
         ",".join(f"{c}:{format_pattern(p)}" for c, p in forbidden),
         ",".join(f"{c}:{format_pattern(p)}" for c, p in required),
     )
-    try:
-        got = _full_scan(
-            n, 2, list(forbidden) + list(required), surjective=False,
-            budget=budget, threads=threads,
-        )
-    except CapabilityError as err:
-        raise CapabilityError(
-            str(err),
-            partial=CheckReport(
-                desc, False, None, budget.nodes, time.monotonic() - start,
-                notes=("aborted on budget; no conclusion",),
-            ),
-        ) from None
-    cex = None if got is None else _as_coloring(n, 2, got)
-    return CheckReport(
-        desc, cex is None, cex, budget.nodes, time.monotonic() - start
+    tracked = list(forbidden) + list(required)
+    allowed = [(1, 2)] * (n * (n - 1) // 2)
+    return _check(
+        desc, lambda budget: _scan(n, 2, allowed, tracked, False, budget), node_budget
     )
 
 
@@ -630,96 +443,23 @@ def _rainbow_context(pattern: PatternSpec) -> str:
     )
 
 
-def _shape_clique_plus_vertex(n: int, k: int, target: PatternSpec, budget: _Budget):
-    """Members where all but the last vertex induce color 1."""
-    m = n * (n - 1) // 2
-    base = [0] * m
-    for u, v in pair_iter(n):
-        if v < n - 1:
-            base[pair_rank(u, v, n)] = 1
-    a = n - 1
-    star_ranks = [pair_rank(u, a, n) for u in range(n - 1)]
-    # the bare clique sits inside color 1 of every member, so if it already
-    # contains the target there is nothing to enumerate
-    adj_clique = [((1 << (n - 1)) - 1) & ~(1 << u) for u in range(n - 1)] + [0]
-    budget.spend()
-    if mono_present(n, adj_clique, target):
-        return
-    for assignment in product(range(1, k + 1), repeat=n - 1):
-        budget.spend()
-        if set(assignment) | {1} != set(range(1, k + 1)):
-            continue
-        ecolor = list(base)
-        for r, c in zip(star_ranks, assignment):
-            ecolor[r] = c
-        yield EdgeColoring(n, k, ecolor, exact_flag=True)
-
-
-def _shape_hub_triple(n: int, target: PatternSpec, budget: _Budget):
-    """k=4 members: E2={ab}, E3={ac}, E4 = {bc} + a subset of a's other edges."""
-    if n < 4:
-        return
-    m = n * (n - 1) // 2
-    for extra in product((1, 4), repeat=n - 3):
-        budget.spend()
-        ecolor = [1] * m
-        ecolor[pair_rank(0, 1, n)] = 2
-        ecolor[pair_rank(0, 2, n)] = 3
-        ecolor[pair_rank(1, 2, n)] = 4
-        for j, c in zip(range(3, n), extra):
-            ecolor[pair_rank(0, j, n)] = c
-        yield EdgeColoring(n, 4, ecolor, exact_flag=True)
-
-
-def _shape_matched_quad(n: int, budget: _Budget):
-    """k=4 members on special vertices 0..3; two choices for the color-2 class."""
-    if n < 5:
-        return  # color 1 would be empty, so never an exact 4-coloring
-    m = n * (n - 1) // 2
-    for with_cd in (False, True):
-        budget.spend()
-        ecolor = [1] * m
-        ecolor[pair_rank(0, 1, n)] = 2
-        if with_cd:
-            ecolor[pair_rank(2, 3, n)] = 2
-        ecolor[pair_rank(0, 2, n)] = 3
-        ecolor[pair_rank(1, 3, n)] = 3
-        ecolor[pair_rank(0, 3, n)] = 4
-        ecolor[pair_rank(1, 2, n)] = 4
-        yield EdgeColoring(n, 4, ecolor, exact_flag=True)
-
-
-def _shape_sporadic_5(budget: _Budget):
-    budget.spend()
-    assignment = {
-        (0, 3): 1, (0, 4): 1, (1, 2): 1,
-        (1, 3): 2, (1, 4): 2, (0, 2): 2,
-        (2, 3): 3, (2, 4): 3, (0, 1): 3,
-        (3, 4): 4,
-    }
-    yield EdgeColoring.from_pairs(5, 4, assignment, exact_flag=True)
-
-
-def _structure_members(
+def _structure_counterexample(
     k: int, context: str, n: int, target: PatternSpec, budget: _Budget
-):
-    """Exceptional-shape members for a rainbow context, beyond the bk family."""
-    if context == "p5":
-        yield from _shape_clique_plus_vertex(n, k, target, budget)
-        if k == 4:
-            yield from _shape_hub_triple(n, target, budget)
-            yield from _shape_matched_quad(n, budget)
-            if n == 5:
-                yield from _shape_sporadic_5(budget)
-    elif context == "p4plus":
-        if k == 4:
-            if n >= 4:
-                from .constructions import g2_coloring, g3_coloring
-
-                budget.spend(2)
-                yield g2_coloring(n)
-                yield g3_coloring(n)
-    # k13 adds the t family, handled separately for pruning
+) -> EdgeColoring | None:
+    """First member of the context's rainbow-free case list without a mono target:
+    the bk family, then for k13 with k=3 the t family, then each exceptional
+    shape of the context in turn."""
+    cex = _bk_counterexample(k, n, target, True, budget)
+    if cex is None and context == "k13" and k == 3:
+        cex = _t_counterexample(n, target, True, budget)
+    tracked = [(c, target) for c in range(1, k + 1)]
+    for label in CONTEXT_SHAPES[context]:
+        if cex is not None:
+            break
+        allowed = SHAPES[label][0](n, k)
+        if allowed is not None:
+            cex = _scan(n, k, allowed, tracked, True, budget)
+    return cex
 
 
 def gr_desk_verify(
@@ -729,7 +469,6 @@ def gr_desk_verify(
     n: int,
     mode: str = "structure",
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> CheckReport:
     """Verify that every exact k-coloring of K_n has a rainbow copy of
     ``rainbow`` or a monochromatic ``target``.
@@ -739,8 +478,6 @@ def gr_desk_verify(
     (the certificate is relative to that case list): the bk family plus the
     context's exceptional shapes, and for rainbow stars with k=3 the t family.
     """
-    start = time.monotonic()
-    budget = _Budget(node_budget)
     quantity = (
         f"gr(k={k}, rainbow {format_pattern(rainbow)} : {format_pattern(target)}, n={n}, {mode})"
     )
@@ -751,44 +488,18 @@ def gr_desk_verify(
                 f"full enumeration of {k}^{n * (n - 1) // 2} colorings is out of budget"
             )
         tracked = [(RAINBOW, rainbow)] + [(c, target) for c in range(1, k + 1)]
-        try:
-            got = _full_scan(n, k, tracked, surjective=True, budget=budget, threads=threads)
-        except CapabilityError as err:
-            raise CapabilityError(
-                str(err),
-                partial=CheckReport(
-                    quantity, False, None, budget.nodes, time.monotonic() - start,
-                    notes=("aborted on budget; no conclusion",),
-                ),
-            ) from None
-        cex = None if got is None else _as_coloring(n, k, got)
-        return CheckReport(quantity, cex is None, cex, budget.nodes, time.monotonic() - start)
+        allowed = [tuple(range(1, k + 1))] * (n * (n - 1) // 2)
+        return _check(
+            quantity, lambda budget: _scan(n, k, allowed, tracked, True, budget), node_budget
+        )
     if mode != "structure":
         raise DomainError("mode must be 'full' or 'structure'")
     context = _rainbow_context(rainbow)
     if context == "k13" and k < 3 or context != "k13" and k < 4:
         raise DomainError(f"context {context} needs k >= {3 if context == 'k13' else 4}")
-    notes = (f"relative to the rainbow-free case list for {format_pattern(rainbow)}",)
-    try:
-        cex = _bk_counterexample(k, n, target, surjective=True, budget=budget)
-        if cex is None and context == "k13" and k == 3:
-            cex = _t_counterexample(n, target, surjective=True, budget=budget)
-        if cex is None:
-            for member in _structure_members(k, context, n, target, budget):
-                if not any(
-                    mono_present(n, member.adjacency(c), target)
-                    for c in range(1, k + 1)
-                ):
-                    cex = member
-                    break
-    except CapabilityError as err:
-        raise CapabilityError(
-            str(err),
-            partial=CheckReport(
-                quantity, False, None, budget.nodes, time.monotonic() - start,
-                notes=notes + ("aborted on budget; no conclusion",),
-            ),
-        ) from None
-    return CheckReport(
-        quantity, cex is None, cex, budget.nodes, time.monotonic() - start, notes=notes
+    return _check(
+        quantity,
+        lambda budget: _structure_counterexample(k, context, n, target, budget),
+        node_budget,
+        notes=(f"relative to the rainbow-free case list for {format_pattern(rainbow)}",),
     )

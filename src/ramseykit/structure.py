@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .coloring import EdgeColoring, pair_iter
-from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL
+from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL, g2_coloring, g3_coloring
 from .errors import DomainError
 from .patterns import _bits
 
@@ -43,50 +43,48 @@ def _supports(coloring: EdgeColoring) -> dict[int, int]:
     return out
 
 
-def dominant_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """Try each color as dominant; succeed when the other supports are disjoint.
+def _dominant_parts(coloring: EdgeColoring, dominant: int) -> list[list[int]] | None:
+    """Parts from the supports of the non-dominant colors, when pairwise disjoint.
 
     Vertices meeting no non-dominant color join the first part (a documented
     non-canonical choice); colors without edges get parts filled from those
     free vertices, two each, when possible.
     """
-    n = coloring.n_vertices
     sup = _supports(coloring)
+    others = [c for c in range(1, coloring.n_colors + 1) if c != dominant]
+    union = 0
+    for c in others:
+        if union & sup.get(c, 0):
+            return None
+        union |= sup.get(c, 0)
+    free = [v for v in range(coloring.n_vertices) if not (union >> v) & 1]
+    parts: list[list[int]] = []
+    for c in others:
+        if c in sup:
+            parts.append(sorted(_bits(sup[c])))
+        elif len(free) < 2:
+            return None
+        else:
+            parts.append([free.pop(0), free.pop(0)])
+    if free and parts:
+        parts[0] = sorted(parts[0] + free)
+    elif free:
+        parts.append(sorted(free))
+    return parts
+
+
+def dominant_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """Try each color as dominant; succeed when the other supports are disjoint."""
     for dominant in range(1, coloring.n_colors + 1):
-        others = [c for c in range(1, coloring.n_colors + 1) if c != dominant]
-        masks = [sup.get(c, 0) for c in others]
-        union = 0
-        ok = True
-        for m in masks:
-            if union & m:
-                ok = False
-                break
-            union |= m
-        if not ok:
-            continue
-        free = [v for v in range(n) if not (union >> v) & 1]
-        parts: list[list[int]] = []
-        for c, m in zip(others, masks):
-            if m:
-                parts.append(sorted(_bits(m)))
-            else:
-                if len(free) < 2:
-                    ok = False
-                    break
-                parts.append([free.pop(0), free.pop(0)])
-        if not ok:
-            continue
-        if free and parts:
-            parts[0] = sorted(parts[0] + free)
-        elif free and not parts:
-            parts.append(sorted(free))
-        return FamilyDescriptor(
-            "dominant",
-            n,
-            parts=tuple(tuple(p) for p in parts),
-            dominant_color=dominant,
-            part_colors=tuple(others),
-        )
+        parts = _dominant_parts(coloring, dominant)
+        if parts is not None:
+            return FamilyDescriptor(
+                "dominant",
+                coloring.n_vertices,
+                parts=tuple(tuple(p) for p in parts),
+                dominant_color=dominant,
+                part_colors=tuple(c for c in range(1, coloring.n_colors + 1) if c != dominant),
+            )
     return None
 
 
@@ -296,7 +294,11 @@ def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) 
     ):
         return None
     if family == "bk":
-        return _bk_descriptor(coloring)
+        # the dominant-color form with the literal color 1 dominant
+        parts = _dominant_parts(coloring, 1) if coloring.n_colors >= 3 else None
+        if parts is None:
+            return None
+        return FamilyDescriptor("bk", coloring.n_vertices, parts=tuple(tuple(p) for p in parts))
     if family == "t":
         got = three_part_descriptor(coloring, allow_empty=0)
         return got if got and got.family == "t" else None
@@ -307,35 +309,6 @@ def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) 
     if family == "g3":
         return _g3_descriptor(coloring)
     raise DomainError(f"unknown family {family!r}")
-
-
-def _bk_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """bk membership with the literal colors: parts from the supports of
-    colors 2..k, leftover all-color-1 vertices fill empty parts then part 1."""
-    n = coloring.n_vertices
-    k = coloring.n_colors
-    if k < 3:
-        return None
-    sup = _supports(coloring)
-    union = 0
-    for c in range(2, k + 1):
-        m = sup.get(c, 0)
-        if union & m:
-            return None
-        union |= m
-    free = [v for v in range(n) if not (union >> v) & 1]
-    parts: list[list[int]] = []
-    for c in range(2, k + 1):
-        m = sup.get(c, 0)
-        if m:
-            parts.append(sorted(_bits(m)))
-        else:
-            if len(free) < 2:
-                return None
-            parts.append([free.pop(0), free.pop(0)])
-    if free:
-        parts[0] = sorted(parts[0] + free)
-    return FamilyDescriptor("bk", n, parts=tuple(tuple(p) for p in parts))
 
 
 def _g2_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
@@ -390,6 +363,83 @@ def _g3_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
     return FamilyDescriptor("g3", n, special=(a, b, c))
 
 
+# --- the exceptional shapes as searchable families ------------------------------
+#
+# A builder gives, for K_n with k colors, one tuple of allowed colors per edge
+# in pair_rank order (a 1-tuple fixes the edge), or None when the shape has no
+# exact k-coloring member at that size.  The members are the surjective
+# colorings the tuples allow; the matcher recognizes each of them.
+
+
+def _color1_except(n: int, special: dict[tuple[int, int], tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``special`` edges as given, every other edge fixed to color 1."""
+    return [special.get(e, (1,)) for e in pair_iter(n)]
+
+
+def _clique_plus_vertex_allowed(n: int, k: int):
+    """All but the last vertex induce color 1; the last vertex's edges are free."""
+    last = tuple(range(1, k + 1))
+    return [last if v == n - 1 else (1,) for _, v in pair_iter(n)]
+
+
+def _hub_triple_allowed(n: int, k: int):
+    """E2={ab}, E3={ac}, E4 = {bc} + a subset of a's other edges, on a,b,c = 0,1,2."""
+    if k != 4 or n < 4:
+        return None
+    special = {(0, 1): (2,), (0, 2): (3,), (1, 2): (4,)}
+    special.update({(0, j): (1, 4) for j in range(3, n)})
+    return _color1_except(n, special)
+
+
+def _matched_quad_allowed(n: int, k: int):
+    """Special vertices 0..3; the color-2 class is {01} or {01, 23}."""
+    if k != 4 or n < 5:
+        return None  # color 1 would be empty, so never an exact 4-coloring
+    return _color1_except(
+        n, {(0, 1): (2,), (2, 3): (1, 2), (0, 2): (3,), (1, 3): (3,), (0, 3): (4,), (1, 2): (4,)}
+    )
+
+
+def _sporadic_5_allowed(n: int, k: int):
+    if k != 4 or n != 5:
+        return None
+    return _color1_except(5, {
+        (0, 2): (2,), (1, 3): (2,), (1, 4): (2,),
+        (0, 1): (3,), (2, 3): (3,), (2, 4): (3,),
+        (3, 4): (4,),
+    })
+
+
+def _fixed_allowed(build):
+    """Builder for a shape with one member per size n >= 4 (k = 4 only)."""
+
+    def allowed(n: int, k: int):
+        if k != 4 or n < 4:
+            return None
+        return [(c,) for c in build(n).colors]
+
+    return allowed
+
+
+# label -> (allowed-colors builder, matcher)
+SHAPES = {
+    CASE_CLIQUE_PLUS_VERTEX: (_clique_plus_vertex_allowed, _match_clique_plus_vertex),
+    CASE_HUB_TRIPLE: (_hub_triple_allowed, _match_hub_triple),
+    CASE_MATCHED_QUAD: (_matched_quad_allowed, _match_matched_quad),
+    CASE_SPORADIC_5: (_sporadic_5_allowed, _match_sporadic_5),
+    CASE_G2: (_fixed_allowed(g2_coloring), _g2_descriptor),
+    CASE_G3: (_fixed_allowed(g3_coloring), _g3_descriptor),
+}
+
+# exceptional shapes in each rainbow context's case list, beyond the bk
+# family (the k13 context adds the t family instead)
+CONTEXT_SHAPES = {
+    "p5": (CASE_CLIQUE_PLUS_VERTEX, CASE_HUB_TRIPLE, CASE_MATCHED_QUAD, CASE_SPORADIC_5),
+    "p4plus": (CASE_G2, CASE_G3),
+    "k13": (),
+}
+
+
 def _color_permutations(coloring: EdgeColoring, target_k: int):
     """Colorings obtained by renumbering the used colors onto 1..target_k."""
     from itertools import permutations
@@ -426,13 +476,8 @@ def classify_structure(
     if d is not None:
         return CASE_DOMINANT, d
     if rainbow_context == "p5":
-        for matcher, label in (
-            (_match_clique_plus_vertex, CASE_CLIQUE_PLUS_VERTEX),
-            (_match_hub_triple, CASE_HUB_TRIPLE),
-            (_match_matched_quad, CASE_MATCHED_QUAD),
-            (_match_sporadic_5, CASE_SPORADIC_5),
-        ):
-            got = matcher(coloring)
+        for label in CONTEXT_SHAPES["p5"]:
+            got = SHAPES[label][1](coloring)
             if got is not None:
                 return label, got
     elif rainbow_context == "k13":

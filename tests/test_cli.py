@@ -119,6 +119,50 @@ def test_grverify_command(tmp_path, capsys):
     assert main(["grverify", "--k", "3", "--rainbow", "k13", "--target", "path:4", "--N", "5", "--mode", "full"]) == 0
 
 
+def test_budget_aborts_emit_json(capsys):
+    code = main(
+        [
+            "grverify", "--k", "3", "--rainbow", "k13", "--target", "path:4", "--N", "5",
+            "--mode", "full", "--budget", "10", "--json",
+        ]
+    )
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nodes"] == 11 and "10 nodes" in payload["error"]
+    assert "aborted on budget; no conclusion" in payload["notes"]
+
+    code = main(
+        [
+            "compute", "--quantity", "ramsey", "--red", "path:5", "--blue", "path:4",
+            "--max-n", "6", "--budget", "50", "--json",
+        ]
+    )
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nodes"] == 51 and payload["exact"] is False and payload["lo"] >= 1
+
+
+def test_check_abort_emits_json(monkeypatch, capsys):
+    from ramseykit import search
+    from ramseykit.errors import CapabilityError
+
+    def aborts(n, forbidden, required, node_budget=search.DEFAULT_NODE_BUDGET):
+        partial = search.CheckReport("universal", False, None, 7, 0.0, notes=("aborted on budget; no conclusion",))
+        raise CapabilityError("search exceeded 6 nodes", partial=partial)
+
+    monkeypatch.setattr(search, "universal_check", aborts)
+    assert main(["check", "--lemma", "3.1ii", "--n", "5", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "error": "search exceeded 6 nodes",
+        "quantity": "universal",
+        "nodes": 7,
+        "notes": ["aborted on budget; no conclusion"],
+    }
+    assert main(["check", "--lemma", "3.1i", "--n", "5"]) == 2
+    assert capsys.readouterr().out.startswith("budget exceeded: search exceeded 6 nodes")
+
+
 def test_classify_command(tmp_path, capsys):
     ecg = tmp_path / "w.ecg"
     main(["generate", "--family", "gamma1", "-o", str(ecg)])

@@ -60,11 +60,12 @@ def test_ramsey_anti_symmetry():
     assert a.value == b.value
 
 
-def test_ramsey_thread_determinism():
-    one = brute_force_ramsey(Path(4), Path(4), 6, threads=1)
-    two = brute_force_ramsey(Path(4), Path(4), 6, threads=2)
+def test_ramsey_determinism():
+    one = brute_force_ramsey(Path(4), Path(4), 6)
+    two = brute_force_ramsey(Path(4), Path(4), 6)
     assert one.value == two.value
     assert one.extremal_witness == two.extremal_witness
+    assert one.nodes_explored == two.nodes_explored
 
 
 def test_ramsey_not_reached_is_an_interval():

@@ -21,13 +21,26 @@ from ramseykit.structure import (
     CASE_HUB_TRIPLE,
     CASE_MATCHED_QUAD,
     CASE_SPORADIC_5,
+    CONTEXT_SHAPES,
+    SHAPES,
     UNCLASSIFIED,
     classify_structure,
     is_member,
     multipartite_ham,
     star_forest_check,
 )
-from ramseykit.search import _shape_sporadic_5, _Budget
+
+
+def _members(label, n, k=4):
+    """Every exact k-coloring of K_n that a shape row allows."""
+    allowed = SHAPES[label][0](n, k)
+    if allowed is None:
+        return []
+    return [
+        EdgeColoring(n, k, colors, exact_flag=True)
+        for colors in itertools.product(*allowed)
+        if set(colors) == set(range(1, k + 1))
+    ]
 
 
 def _coloring(n, k, special, default=1, exact=None):
@@ -118,7 +131,7 @@ def test_classify_exceptional_shapes():
     label, d = classify_structure(quad, "p5")
     assert label == CASE_MATCHED_QUAD and set(d.special) == {0, 1, 2, 3}
 
-    sporadic = next(iter(_shape_sporadic_5(_Budget(10))))
+    (sporadic,) = _members(CASE_SPORADIC_5, 5)
     label, d = classify_structure(sporadic, "p5")
     assert label == CASE_SPORADIC_5
 
@@ -185,24 +198,29 @@ def test_star_forest_on_generated_shapes():
 
 def test_star_forest_on_every_exceptional_member():
     # every non-dominant color class of the exceptional shapes is a star forest
-    from ramseykit.patterns import Path
-    from ramseykit.search import (
-        _shape_clique_plus_vertex,
-        _shape_hub_triple,
-        _shape_matched_quad,
-    )
-
-    budget = _Budget(100_000)
     members = (
-        list(_shape_clique_plus_vertex(6, 4, Path(6), budget))
-        + list(_shape_hub_triple(6, Path(6), budget))
-        + list(_shape_matched_quad(6, budget))
-        + list(_shape_sporadic_5(budget))
+        _members(CASE_CLIQUE_PLUS_VERTEX, 6)
+        + _members(CASE_HUB_TRIPLE, 6)
+        + _members(CASE_MATCHED_QUAD, 6)
+        + _members(CASE_SPORADIC_5, 5)
     )
     assert members
     for coloring in members:
         for c in range(2, coloring.n_colors + 1):
             assert star_forest_check(coloring, c)
+
+
+def test_shape_table_round_trip():
+    # every member a shape row generates classifies under that row's label
+    for context, labels in CONTEXT_SHAPES.items():
+        for label in labels:
+            seen = 0
+            for n in range(5, 8):
+                for coloring in _members(label, n):
+                    got, _ = classify_structure(coloring, context)
+                    assert got == label, (label, coloring.colors)
+                    seen += 1
+            assert seen, label
 
 
 def test_multipartite_ham_examples():
