@@ -21,7 +21,7 @@ from .coloring import (
     read_coloring_file,
     write_coloring_file,
 )
-from .errors import CapabilityError, RamseykitError
+from .errors import BudgetExceeded, CapabilityError, RamseykitError
 from .patterns import (
     Kipas,
     LinearForestExact,
@@ -60,7 +60,8 @@ def _value_payload(v: formulas.ValueOrInterval) -> dict:
 def _emit_abort(args, err: CapabilityError) -> int:
     """Report an exceeded capability or budget with its partial result; exit 2."""
     payload: dict = {"error": str(err)}
-    lines = [f"budget exceeded: {err}"]
+    label = "budget exceeded" if isinstance(err, BudgetExceeded) else "capability limit"
+    lines = [f"{label}: {err}"]
     rep = err.partial
     if rep is not None:
         payload.update(quantity=rep.quantity, nodes=rep.nodes_explored)

@@ -38,3 +38,7 @@ class CapabilityError(RamseykitError, RuntimeError):
     def __init__(self, message: str, partial=None):
         self.partial = partial
         super().__init__(message)
+
+
+class BudgetExceeded(CapabilityError):
+    """A search spent its whole node budget before it could answer."""

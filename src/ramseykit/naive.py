@@ -23,7 +23,10 @@ def _class_has_edge(coloring: EdgeColoring, c: int, u: int, v: int) -> bool:
 
 
 def naive_longest_mono_path(coloring: EdgeColoring, c: int) -> int:
-    """Longest path in color class c by exhaustive path extension."""
+    """Longest path in color class c by exhaustive path extension.
+
+    Stops as soon as a path covers all n vertices, since none is longer.
+    """
     n = coloring.n_vertices
     best = 1
 
@@ -31,6 +34,8 @@ def naive_longest_mono_path(coloring: EdgeColoring, c: int) -> int:
         nonlocal best
         best = max(best, len(seq))
         for u in range(n):
+            if best == n:
+                return
             if u in used:
                 continue
             if _class_has_edge(coloring, c, min(u, seq[-1]), max(u, seq[-1])):

@@ -13,6 +13,7 @@ convention is this artifact's own, chosen for a total ``longest path``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .coloring import EdgeColoring, pair_rank
@@ -460,8 +461,16 @@ def find_kipas_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ...
     return None
 
 
-def clique_exists(n: int, adj: Sequence[int], order: int) -> bool:
-    return find_clique_witness(n, adj, order) is not None
+def _has_clique(adj: Sequence[int], mask: int, order: int) -> bool:
+    """Is there a clique of the given order inside the vertex set ``mask``?"""
+    if order <= 0:
+        return True
+    while mask.bit_count() >= order:
+        w = (mask & -mask).bit_length() - 1
+        mask ^= 1 << w
+        if _has_clique(adj, mask & adj[w], order - 1):
+            return True
+    return False
 
 
 def find_clique_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ...] | None:
@@ -484,10 +493,6 @@ def find_clique_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ..
     if order == 1:
         return (0,)
     return extend([], (1 << n) - 1, 0)
-
-
-def explicit_exists(n: int, adj: Sequence[int], pattern_edges_: Sequence[tuple[int, int]], order: int) -> bool:
-    return find_explicit_witness(n, adj, pattern_edges_, order) is not None
 
 
 def find_explicit_witness(
@@ -701,8 +706,9 @@ def max_linear_forest_edges(
         return all(cnt >= 2 for cnt in by_root.values())
 
     def bound(i: int) -> int:
+        # a linear forest on n vertices has at most n - 1 edges
         cap = sum(2 - degree[v] for v in range(n) if degree[v] < 2)
-        return len(chosen) + min(m - i, cap // 2)
+        return min(len(chosen) + min(m - i, cap // 2), n - 1)
 
     def rec(i: int):
         nonlocal best_count, best_edges, nodes
@@ -762,23 +768,189 @@ def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[in
     return tuple(comps)
 
 
-def mono_present(n: int, adj: Sequence[int], p: PatternSpec) -> bool:
-    """Order-only presence test used inside search loops."""
-    if isinstance(p, Path):
-        return path_exists(n, adj, p.order)
-    if isinstance(p, Star):
-        return star_max_degree(n, adj) >= p.leaves
-    if isinstance(p, Kipas):
-        return kipas_exists(n, adj, p.order)
-    if isinstance(p, CompleteGraph):
-        return clique_exists(n, adj, p.order)
-    if isinstance(p, LinearForestExact):
-        return forest_exact_exists(n, adj, p.orders)
+def mono_present(
+    n: int, adj: Sequence[int], p: PatternSpec, edge: tuple[int, int] | None = None
+) -> bool:
+    """Presence test used inside search loops.
+
+    With ``edge`` = (u, v), an edge of the class, the test is anchored: it
+    assumes the class without uv holds no copy of p and looks only for
+    copies through uv, so under that assumption it gives the whole-graph
+    answer.  Search engines add one edge at a time and stop at the first
+    copy, so the assumption holds after every edge they add.
+    ``LinearForestMin`` has no anchored form and is always tested on the
+    whole graph.
+    """
     if isinstance(p, LinearForestMin):
         return forest_min_edges_exists(n, adj, p.min_edges, p.min_order)
-    if isinstance(p, Explicit):
-        return explicit_exists(n, adj, p.edges, p.order)
+    if edge is None:
+        if isinstance(p, Path):
+            return path_exists(n, adj, p.order)
+        if isinstance(p, Star):
+            return star_max_degree(n, adj) >= p.leaves
+        if isinstance(p, Kipas):
+            return kipas_exists(n, adj, p.order)
+        if isinstance(p, CompleteGraph):
+            return _has_clique(adj, (1 << n) - 1, p.order)
+        if isinstance(p, LinearForestExact):
+            return forest_exact_exists(n, adj, p.orders)
+        if isinstance(p, Explicit):
+            return find_explicit_witness(n, adj, p.edges, p.order) is not None
+        raise CapabilityError(f"unsupported pattern {p!r}")
+    if pattern_order(p) > n:
+        return False
+    u, v = edge
+    if isinstance(p, Path):
+        return _grow(adj, (1 << n) - 1, u, v, 1 << u | 1 << v, 2, p.order)
+    if isinstance(p, Star):
+        return max(adj[u].bit_count(), adj[v].bit_count()) >= p.leaves
+    if isinstance(p, Kipas):
+        return _kipas_through(adj, p.order, u, v)
+    if isinstance(p, CompleteGraph):
+        return _has_clique(adj, adj[u] & adj[v], p.order - 2)
+    if isinstance(p, (LinearForestExact, Explicit)):
+        return _mono_embed_through(n, adj, p, u, v)
     raise CapabilityError(f"unsupported pattern {p!r}")
+
+
+# --- anchored detection ---------------------------------------------------------
+#
+# The helpers behind the anchored tests.  Each looks only for copies that
+# use the edge uv.
+
+
+def _grow(
+    adj: Sequence[int], allowed: int, x: int, y: int, used: int, size: int, order: int
+) -> bool:
+    """Can the path on the vertex set ``used`` (``size`` vertices, ends x and
+    y) grow inside ``allowed`` to ``order`` vertices?
+
+    Grows the y end depth first and, after each step, tries to finish from
+    the x end.  With x == y it asks for a path through that vertex.
+    """
+    if (allowed & ~used).bit_count() < order - size:
+        return False
+    if _grow_end(adj, allowed, x, used, order - size):
+        return True
+    ext = adj[y] & allowed & ~used
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if _grow(adj, allowed, x, low.bit_length() - 1, used | low, size + 1, order):
+            return True
+    return False
+
+
+def _grow_end(adj: Sequence[int], allowed: int, x: int, used: int, need: int) -> bool:
+    """Is there a path of ``need`` more vertices from x inside ``allowed`` - ``used``?"""
+    if need <= 0:
+        return True
+    ext = adj[x] & allowed & ~used
+    if need == 1:
+        return ext != 0
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if _grow_end(adj, allowed, low.bit_length() - 1, used | low, need - 1):
+            return True
+    return False
+
+
+def _kipas_through(adj: Sequence[int], order: int, u: int, v: int) -> bool:
+    """A kipas using uv: uv is a spoke (hub u or v, rim through the other
+    end) or a rim edge (hub in N(u) ∩ N(v), rim through uv)."""
+    for hub, rim in ((u, v), (v, u)):
+        nb = adj[hub]
+        if nb.bit_count() >= order and _grow(adj, nb, rim, rim, 1 << rim, 1, order):
+            return True
+    for hub in _bits(adj[u] & adj[v]):
+        nb = adj[hub]
+        if nb.bit_count() >= order and _grow(adj, nb, u, v, 1 << u | 1 << v, 2, order):
+            return True
+    return False
+
+
+# (vertex, its pattern neighbors placed before it), in placement order
+_Plan = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=64)
+def _anchor_plans(p: PatternSpec) -> tuple[tuple[int, int, _Plan], ...]:
+    """The ways to lay a pattern edge on a host edge uv: (a, b, plan) sends
+    a to u and b to v, and the plan lists the other pattern vertices in
+    placement order, each with its pattern neighbors placed before it.
+
+    Every edge is tried in both directions, except on paths and linear
+    forests: reversing a component maps one direction onto the other, and
+    components of equal order are interchangeable, so one direction of
+    each edge of one component per order covers every copy.  The placement
+    order is breadth first from {a, b}, then component by component, so
+    every vertex of the anchored component has a placed neighbor.
+    """
+    order = pattern_order(p)
+    edges = pattern_edges(p)
+    nbrs: list[list[int]] = [[] for _ in range(order)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    if isinstance(p, (Path, LinearForestExact)):
+        anchors = []
+        base = 0
+        orders = (p.order,) if isinstance(p, Path) else p.orders
+        for i, o in enumerate(orders):
+            if o not in orders[:i]:
+                anchors.extend((base + j, base + j + 1) for j in range(o - 1))
+            base += o
+    else:
+        anchors = list(edges) + [(b, a) for a, b in edges]
+
+    def breadth_first(seq: list[int]) -> None:
+        for x in seq:  # the list grows while it is read
+            for y in nbrs[x]:
+                if y not in seq:
+                    seq.append(y)
+
+    plans = []
+    for a, b in anchors:
+        seq = [a, b]
+        breadth_first(seq)
+        for root in range(order):
+            if root not in seq:
+                seq.append(root)
+                breadth_first(seq)
+        plan = tuple((x, tuple(y for y in nbrs[x] if y in seq[:i])) for i, x in enumerate(seq))
+        plans.append((a, b, plan[2:]))
+    return tuple(plans)
+
+
+def _mono_embed_through(n: int, adj: Sequence[int], p: PatternSpec, u: int, v: int) -> bool:
+    """Lay some pattern edge on uv and place the other vertices."""
+    plans = _anchor_plans(p)
+    if not plans:  # no edges: present whenever it fits
+        return True
+    everyone = (1 << n) - 1
+    mapping = [-1] * pattern_order(p)
+
+    def place(plan, j: int, used: int) -> bool:
+        if j == len(plan):
+            return True
+        x, placed = plan[j]
+        cand = everyone & ~used
+        for y in placed:
+            cand &= adj[mapping[y]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            mapping[x] = low.bit_length() - 1
+            if place(plan, j + 1, used | low):
+                return True
+        return False
+
+    for a, b, plan in plans:
+        mapping[a], mapping[b] = u, v
+        if place(plan, 0, 1 << u | 1 << v):
+            return True
+    return False
 
 
 # --- public operations on colorings -------------------------------------------
@@ -909,6 +1081,62 @@ def rainbow_map(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...
         return None
 
     return place(0)
+
+
+def rainbow_present(
+    n: int, colors: Sequence[int], p: PatternSpec, edge: tuple[int, int] | None = None
+) -> bool:
+    """Is there a rainbow copy of p in a flat color array (0 = undecided)?
+
+    With ``edge`` = (u, v), a decided edge, the test is anchored as in
+    :func:`mono_present`: it assumes no rainbow copy avoids uv and looks
+    only for copies through it.
+    """
+    if edge is None:
+        return rainbow_map(n, colors, p) is not None
+    u, v = edge
+
+    def color(a: int, b: int) -> int:
+        return colors[pair_rank(a, b, n) if a < b else pair_rank(b, a, n)]
+
+    if isinstance(p, Star):
+        return any(
+            len({color(w, x) for x in range(n) if x != w} - {0}) >= p.leaves for w in (u, v)
+        )
+    if pattern_order(p) > n:
+        return False
+    plans = _anchor_plans(p)
+    if not plans:  # no edges: present whenever it fits
+        return True
+    mapping = [-1] * pattern_order(p)
+    taken = {color(u, v)}
+
+    def place(plan, j: int, used: int) -> bool:
+        if j == len(plan):
+            return True
+        x, placed = plan[j]
+        for w in range(n):
+            if used >> w & 1:
+                continue
+            new: list[int] = []
+            for y in placed:
+                c = color(mapping[y], w)
+                if c == 0 or c in taken or c in new:
+                    break
+                new.append(c)
+            else:
+                mapping[x] = w
+                taken.update(new)
+                if place(plan, j + 1, used | 1 << w):
+                    return True
+                taken.difference_update(new)
+        return False
+
+    for a, b, plan in plans:
+        mapping[a], mapping[b] = u, v
+        if place(plan, 0, 1 << u | 1 << v):
+            return True
+    return False
 
 
 def _rainbow_star_map(n: int, colors: Sequence[int], leaves: int) -> tuple[int, ...] | None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .coloring import EdgeColoring, pair_iter
 from .constructions import _T_CROSS, _T_INTERNAL
-from .errors import CapabilityError, DomainError
+from .errors import BudgetExceeded, CapabilityError, DomainError
 from .formulas import UNBOUNDED, ValueOrInterval, exact, interval
 from .patterns import (
     LinearForestMin,
@@ -37,7 +37,7 @@ from .patterns import (
     mono_present,
     pattern_min_edges,
     pattern_order,
-    rainbow_map,
+    rainbow_present,
 )
 from .structure import CONTEXT_SHAPES, SHAPES
 
@@ -81,7 +81,11 @@ class _Budget:
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount
         if self.nodes > self.limit:
-            raise CapabilityError(f"search exceeded {self.limit} nodes")
+            raise BudgetExceeded(f"search exceeded {self.limit} nodes")
+
+
+def _abort_cause(err: CapabilityError) -> str:
+    return "budget" if isinstance(err, BudgetExceeded) else "a capability limit"
 
 
 def _scan(
@@ -97,13 +101,15 @@ def _scan(
 
     ``allowed`` holds one color tuple per edge in ``pair_rank`` order.  An
     edge with a single allowed color is fixed: fixed edges are placed up
-    front, and the fixed prefix is checked once per distinct fixed color,
-    one node each.  The free edges are then decided in rank order, one node
-    per color tried.  A tracked pair (color, pattern) prunes a branch once
-    the pattern shows up in that color class of the decided edges; the
-    RAINBOW key tracks rainbow copies instead.  ``surjective`` keeps only
-    colorings using all k colors; the result is flagged exact when it uses
-    them all.
+    front, and the fixed prefix costs one node per distinct fixed color, in
+    ascending order up to the first color it is pruned on.  The free edges
+    are then decided in rank order, one node per color tried.  A tracked
+    pair (color, pattern) prunes a branch once the pattern shows up in that
+    color class of the decided edges; the RAINBOW key tracks rainbow copies
+    instead.  Only copies through the newest edge are looked for, since the
+    branch was free of every tracked pattern before it.  ``surjective``
+    keeps only colorings using all k colors; the result is flagged exact
+    when it uses them all.
     """
     edges = list(pair_iter(n))
     ecolor = [0] * len(edges)
@@ -127,24 +133,36 @@ def _scan(
         adj[c][v] |= 1 << u
         class_edges[c] += 1
 
-    def pruned(c: int) -> bool:
+    # Every test is anchored on the edge just colored: the coloring before
+    # it held no tracked pattern, or its branch would have been cut.
+    def mono_hit(c: int, edge: tuple[int, int]) -> bool:
         for min_edges, p in mono[c]:
-            if class_edges[c] >= min_edges and mono_present(n, adj[c], p):
-                return True
-        for p in rainbow:
-            if rainbow_map(n, ecolor, p) is not None:
+            if class_edges[c] >= min_edges and mono_present(n, adj[c], p, edge):
                 return True
         return False
 
+    def rainbow_hit(edge: tuple[int, int]) -> bool:
+        return any(rainbow_present(n, ecolor, p, edge) for p in rainbow)
+
+    # Fixed edges go in one at a time; a color class stops being tested once
+    # it holds a pattern, and every test stops once a rainbow copy shows up.
     free = []
+    hit: set[int] = set()
+    rainbow_seen = False
     for i, choices in enumerate(allowed):
-        if len(choices) == 1:
-            put(i, choices[0])
-        else:
+        if len(choices) > 1:
             free.append(i)
+            continue
+        c = choices[0]
+        put(i, c)
+        if rainbow_seen:
+            continue
+        if c not in hit and mono_hit(c, edges[i]):
+            hit.add(c)
+        rainbow_seen = rainbow_hit(edges[i])
     for c in sorted({choices[0] for choices in allowed if len(choices) == 1}):
         budget.spend()
-        if pruned(c):
+        if rainbow_seen or c in hit:
             return None
     # patterns present in the empty graph (single-vertex paths) hold everywhere
     if any(min_edges == 0 for specs in mono for min_edges, _ in specs):
@@ -157,7 +175,7 @@ def _scan(
                 return None
             return EdgeColoring(n, k, ecolor, exact_flag=exact)
         i = free[j]
-        u, v = edges[i]
+        edge = u, v = edges[i]
         bu, bv = 1 << u, 1 << v
         for c in allowed[i]:
             budget.spend()
@@ -166,7 +184,7 @@ def _scan(
             row[u] |= bv
             row[v] |= bu
             class_edges[c] += 1
-            if not pruned(c):
+            if not (mono_hit(c, edge) or rainbow_hit(edge)):
                 got = dfs(j + 1)
                 if got is not None:
                     return got
@@ -273,9 +291,8 @@ def _threshold_scan(
             witness = cex
     except CapabilityError as err:
         lo = witness.n_vertices + 1 if witness is not None else sizes.start
-        raise CapabilityError(
-            str(err), partial=report(interval(lo, UNBOUNDED, caveat="aborted on budget"))
-        ) from None
+        value = interval(lo, UNBOUNDED, caveat=f"aborted on {_abort_cause(err)}")
+        raise type(err)(str(err), partial=report(value)) from None
     return report(interval(sizes.stop, UNBOUNDED, caveat=beyond))
 
 
@@ -389,11 +406,11 @@ def _check(quantity: str, find, node_budget: int, notes: tuple[str, ...] = ()) -
     try:
         cex = find(budget)
     except CapabilityError as err:
-        raise CapabilityError(
+        raise type(err)(
             str(err),
             partial=CheckReport(
                 quantity, False, None, budget.nodes, time.monotonic() - start,
-                notes=notes + ("aborted on budget; no conclusion",),
+                notes=notes + (f"aborted on {_abort_cause(err)}; no conclusion",),
             ),
         ) from None
     return CheckReport(

@@ -144,11 +144,11 @@ def test_budget_aborts_emit_json(capsys):
 
 def test_check_abort_emits_json(monkeypatch, capsys):
     from ramseykit import search
-    from ramseykit.errors import CapabilityError
+    from ramseykit.errors import BudgetExceeded
 
     def aborts(n, forbidden, required, node_budget=search.DEFAULT_NODE_BUDGET):
         partial = search.CheckReport("universal", False, None, 7, 0.0, notes=("aborted on budget; no conclusion",))
-        raise CapabilityError("search exceeded 6 nodes", partial=partial)
+        raise BudgetExceeded("search exceeded 6 nodes", partial=partial)
 
     monkeypatch.setattr(search, "universal_check", aborts)
     assert main(["check", "--lemma", "3.1ii", "--n", "5", "--json"]) == 2
@@ -161,6 +161,18 @@ def test_check_abort_emits_json(monkeypatch, capsys):
     }
     assert main(["check", "--lemma", "3.1i", "--n", "5"]) == 2
     assert capsys.readouterr().out.startswith("budget exceeded: search exceeded 6 nodes")
+
+
+def test_capability_abort_is_not_a_budget_abort(capsys):
+    # no case list exists for a rainbow K_{1,4}: a capability limit, not a budget
+    argv = ["grverify", "--k", "4", "--rainbow", "star:4", "--target", "path:5", "--N", "6"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("capability limit: no structure case list for rainbow star:4")
+    assert "budget" not in out
+    assert main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"error": "no structure case list for rainbow star:4; use full enumeration"}
 
 
 def test_classify_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,7 @@ from ramseykit.patterns import (
     has_rainbow,
     longest_mono_path,
     max_linear_forest,
+    max_linear_forest_edges,
     parse_pattern,
     pattern_edges,
     pattern_order,
@@ -176,6 +178,19 @@ def test_max_linear_forest_capability_bounds():
         max_linear_forest(big, 1, 2)
     with pytest.raises(DomainError):
         max_linear_forest(EdgeColoring.constant(4, 1), 1, 4)
+
+
+def test_max_linear_forest_stops_at_a_spanning_path():
+    # a linear forest on n vertices has at most n - 1 edges; on this seeded
+    # 2-coloring of K_12 both classes hold a Hamiltonian path, and without
+    # that bound the search ran on to its 2M-node cap after finding one
+    rng = random.Random("cli-roundtrip/2/12/2")
+    coloring = EdgeColoring(12, 2, [rng.randint(1, 2) for _ in range(66)])
+    for c in (1, 2):
+        assert max_linear_forest_edges(12, coloring.adjacency(c), 3, node_budget=1_000)[0] == 11
+        edges, witness = max_linear_forest(coloring, c, 3)
+        assert edges == witness.edge_count == 11
+        verify_forest_witness(coloring, witness, 3)
 
 
 def test_min_edges_forest_goes_through_max_linear_forest():

@@ -3,6 +3,7 @@ import pytest
 from ramseykit.errors import CapabilityError, DomainError
 from ramseykit.formulas import UNBOUNDED
 from ramseykit.patterns import (
+    CompleteGraph,
     Kipas,
     LinearForestExact,
     LinearForestMin,
@@ -233,3 +234,51 @@ def test_gr_modes_agree_where_both_are_feasible():
 def test_randomized_refutation_finds_nothing_at_the_smallest_instance():
     assert randomized_kipas_forest_refutation(12, 3, 2000, seed=0) is None
     assert randomized_kipas_forest_refutation(12, 3, 500, seed=7) is None
+
+
+def test_node_counts_and_witnesses_are_pinned():
+    # detection changes must not move a single prune: node counts and the
+    # lexicographically least witnesses stay exactly as they are
+    required = [(2, LinearForestExact((3, 3))), (2, Path(5)), (2, LinearForestExact((2, 4)))]
+    rep = universal_check(7, [(1, Kipas(5))], required)
+    assert rep.holds and rep.nodes_explored == 15_208
+
+    rep = gr_desk_verify(3, Star(3), Path(4), 6, mode="full")
+    assert rep.holds and rep.nodes_explored == 2_568
+
+    rep = brute_force_ramsey(CompleteGraph(3), Path(5), 9)
+    assert rep.value.value == 9 and rep.nodes_explored == 28_748
+    assert rep.extremal_witness.colors == (
+        1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 2, 2,
+    )
+
+    # fixed edges: one node per distinct fixed color before the free edges
+    rep = compute_t(Path(5), 9)
+    assert rep.value.value == 7 and rep.nodes_explored == 53
+    assert rep.extremal_witness.colors == (1, 1, 1, 3, 3, 1, 1, 3, 3, 1, 2, 2, 2, 2, 2)
+
+    rep = gr_desk_verify(4, Path(5), Path(6), 6, mode="structure")
+    assert not rep.holds and rep.nodes_explored == 19
+    assert rep.counterexample.colors == (1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 3, 4)
+
+
+def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
+    from ramseykit import search
+    from ramseykit.errors import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded) as exc:
+        brute_force_ramsey(Path(5), Path(4), 6, node_budget=50)
+    assert exc.value.partial.value.caveat == "aborted on budget"
+
+    def refuses(*args):
+        raise CapabilityError("detector limit")
+
+    monkeypatch.setattr(search, "mono_present", refuses)
+    with pytest.raises(CapabilityError) as exc:
+        brute_force_ramsey(Path(5), Path(4), 6)
+    assert not isinstance(exc.value, BudgetExceeded)
+    assert exc.value.partial.value.caveat == "aborted on a capability limit"
+    with pytest.raises(CapabilityError) as exc:
+        universal_check(5, [(1, Path(3))], [(2, Path(3))])
+    assert not isinstance(exc.value, BudgetExceeded)
+    assert exc.value.partial.notes == ("aborted on a capability limit; no conclusion",)
