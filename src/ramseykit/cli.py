@@ -90,6 +90,13 @@ def _cmd_detect(args) -> int:
     if mode not in ("mono", "rainbow"):
         raise RamseykitError(f"pattern must start with mono: or rainbow:, got {spec!r}")
     pattern = parse_pattern(rest)
+    try:
+        return _detect(args, coloring, mode, pattern)
+    except CapabilityError as err:
+        return _emit_abort(args, err)
+
+
+def _detect(args, coloring: EdgeColoring, mode: str, pattern: patterns.PatternSpec) -> int:
     if mode == "rainbow":
         emb = patterns.has_rainbow(coloring, pattern)
         if emb is None:

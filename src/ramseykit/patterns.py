@@ -1,9 +1,15 @@
 """Target patterns and their detection in edge colorings.
 
-Monochromatic detection operates on per-color adjacency bitmasks; the
-longest-path routines use the classic DP over (vertex subset, endpoint)
-states.  Witness-returning operations break ties by the lexicographically
-smallest vertex sequence so outputs are reproducible.
+Every fixed-shape pattern is found by running a placement plan: its
+vertices in order, each with its placed pattern neighbors.  A whole-graph
+plan places vertices 0..order-1 with symmetry bounds, so the first map
+found is the lexicographically smallest copy; anchored plans start from a
+pattern edge laid on the host edge the search just decided.  One placer
+runs plans in a color class (per-color adjacency bitmasks), one runs them
+for rainbow copies (a flat color array, 0 = undecided).  Paths, stars,
+cliques and kipas also have anchored fast paths, the longest path order
+comes from the classic DP over (vertex subset, endpoint) states, and
+minimum-edge forests use one plan per component-order partition.
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -306,8 +312,7 @@ def verify_forest_witness(
 # --- bitmask detection core ---------------------------------------------------
 #
 # These functions take (n, adj) where adj[v] is the neighbor bitmask of v in
-# one color class.  They answer yes/no questions only; witness extraction is
-# layered on top.
+# one color class.
 
 
 def _bits(mask: int):
@@ -346,121 +351,6 @@ def longest_path_order(n: int, adj: Sequence[int], stop_at: int | None = None) -
     return best
 
 
-def path_exists(n: int, adj: Sequence[int], order: int) -> bool:
-    if order <= 1:
-        return n >= order
-    if order > n:
-        return False
-    return longest_path_order(n, adj, stop_at=order) >= order
-
-
-def _longest_from(n: int, adj: Sequence[int], start: int, allowed: int, stop_at: int) -> int:
-    """Longest path starting at ``start`` inside the ``allowed`` vertex set."""
-    best = 1
-    if stop_at <= 1:
-        return best
-    full = 1 << n
-    start_bit = 1 << start
-    dp = {start_bit: start_bit}
-    frontier = [start_bit]
-    while frontier:
-        new_frontier = []
-        for mask in frontier:
-            ends = dp[mask]
-            for v in _bits(ends):
-                ext = adj[v] & allowed & ~mask
-                for u in _bits(ext):
-                    nm = mask | (1 << u)
-                    prev = dp.get(nm, 0)
-                    if not prev:
-                        new_frontier.append(nm)
-                    if not prev & (1 << u):
-                        dp[nm] = prev | (1 << u)
-                        size = nm.bit_count()
-                        if size > best:
-                            best = size
-                            if best >= stop_at:
-                                return best
-        frontier = new_frontier
-    return best
-
-
-def find_path_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest vertex sequence of a path of exactly ``order``."""
-    if order < 1 or order > n:
-        return None
-    if order == 1:
-        return (0,)
-    allowed = (1 << n) - 1
-    seq: list[int] = []
-    prev = None
-    remaining = order
-    while remaining:
-        candidates = range(n) if prev is None else _bits(adj[prev] & allowed)
-        chosen = None
-        for c in candidates:
-            if not (allowed >> c) & 1:
-                continue
-            if remaining == 1 or _longest_from(n, adj, c, allowed, remaining) >= remaining:
-                chosen = c
-                break
-        if chosen is None:
-            if prev is None:
-                return None
-            # greedy prefix can always be extended: feasibility was checked
-            raise AssertionError("path reconstruction lost feasibility")
-        seq.append(chosen)
-        allowed &= ~(1 << chosen)
-        prev = chosen
-        remaining -= 1
-    return tuple(seq)
-
-
-def star_max_degree(n: int, adj: Sequence[int]) -> int:
-    return max((adj[v].bit_count() for v in range(n)), default=0)
-
-
-def kipas_exists(n: int, adj: Sequence[int], order: int) -> bool:
-    """Is there a hub whose class-neighborhood holds a path of the given order?"""
-    if order + 1 > n:
-        return False
-    for v in range(n):
-        nb = adj[v]
-        if nb.bit_count() < order:
-            continue
-        verts = list(_bits(nb))
-        idx = {w: i for i, w in enumerate(verts)}
-        sub = [0] * len(verts)
-        for i, w in enumerate(verts):
-            row = adj[w] & nb
-            for u in _bits(row):
-                sub[i] |= 1 << idx[u]
-        if path_exists(len(verts), sub, order):
-            return True
-    return False
-
-
-def find_kipas_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ...] | None:
-    """Hub followed by the path, lexicographically smallest (hub first)."""
-    if order + 1 > n:
-        return None
-    for v in range(n):
-        nb = adj[v]
-        if nb.bit_count() < order:
-            continue
-        verts = list(_bits(nb))
-        idx = {w: i for i, w in enumerate(verts)}
-        sub = [0] * len(verts)
-        for i, w in enumerate(verts):
-            row = adj[w] & nb
-            for u in _bits(row):
-                sub[i] |= 1 << idx[u]
-        path = find_path_witness(len(verts), sub, order)
-        if path is not None:
-            return (v,) + tuple(verts[i] for i in path)
-    return None
-
-
 def _has_clique(adj: Sequence[int], mask: int, order: int) -> bool:
     """Is there a clique of the given order inside the vertex set ``mask``?"""
     if order <= 0:
@@ -471,130 +361,6 @@ def _has_clique(adj: Sequence[int], mask: int, order: int) -> bool:
         if _has_clique(adj, mask & adj[w], order - 1):
             return True
     return False
-
-
-def find_clique_witness(n: int, adj: Sequence[int], order: int) -> tuple[int, ...] | None:
-    if order > n:
-        return None
-    if order == 0:
-        return ()
-
-    def extend(chosen: list[int], common: int, start: int):
-        if len(chosen) == order:
-            return tuple(chosen)
-        for v in _bits(common >> start << start):
-            chosen.append(v)
-            got = extend(chosen, common & adj[v], v + 1)
-            if got:
-                return got
-            chosen.pop()
-        return None
-
-    if order == 1:
-        return (0,)
-    return extend([], (1 << n) - 1, 0)
-
-
-def find_explicit_witness(
-    n: int,
-    adj: Sequence[int],
-    pattern_edges_: Sequence[tuple[int, int]],
-    order: int,
-) -> tuple[int, ...] | None:
-    """Smallest injective map embedding the pattern edges into the class."""
-    if order > n:
-        return None
-    nbrs: list[list[int]] = [[] for _ in range(order)]
-    for a, b in pattern_edges_:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    mapping = [-1] * order
-    used = 0
-
-    def place(i: int):
-        nonlocal used
-        if i == order:
-            return tuple(mapping)
-        must_match = [mapping[w] for w in nbrs[i] if w < i]
-        for hv in range(n):
-            if (used >> hv) & 1:
-                continue
-            if any(not (adj[hv] >> m) & 1 for m in must_match):
-                continue
-            mapping[i] = hv
-            used |= 1 << hv
-            got = place(i + 1)
-            if got:
-                return got
-            used &= ~(1 << hv)
-            mapping[i] = -1
-        return None
-
-    return place(0)
-
-
-def find_forest_exact_witness(
-    n: int,
-    adj: Sequence[int],
-    orders: Sequence[int],
-) -> tuple[tuple[int, ...], ...] | None:
-    """Vertex-disjoint paths with exactly the given orders (sorted descending)."""
-    orders = sorted(orders, reverse=True)
-    if sum(orders) > n:
-        return None
-    components: list[tuple[int, ...]] = []
-
-    def path_search(order: int, allowed: int, min_start: int):
-        # enumerate paths of the given order inside allowed, starts ascending
-        for s in range(min_start, n):
-            if not (allowed >> s) & 1:
-                continue
-            yield from _paths_from(s, order, allowed)
-
-    def _paths_from(start: int, order: int, allowed: int):
-        seq = [start]
-        used = [1 << start]
-
-        def rec():
-            if len(seq) == order:
-                yield tuple(seq)
-                return
-            for u in _bits(adj[seq[-1]] & allowed & ~used[0]):
-                seq.append(u)
-                used[0] |= 1 << u
-                yield from rec()
-                used[0] &= ~(1 << u)
-                seq.pop()
-
-        yield from rec()
-
-    def solve(i: int, allowed: int):
-        if i == len(orders):
-            return tuple(components)
-        order = orders[i]
-        # identical component orders are forced to start at increasing vertices
-        min_start = 0
-        if i > 0 and orders[i - 1] == order:
-            min_start = components[-1][0] + 1
-        for seq in path_search(order, allowed, min_start):
-            # canonical component orientation: smaller endpoint first
-            if order > 1 and seq[0] > seq[-1]:
-                continue
-            mask = 0
-            for w in seq:
-                mask |= 1 << w
-            components.append(seq)
-            got = solve(i + 1, allowed & ~mask)
-            if got:
-                return got
-            components.pop()
-        return None
-
-    return solve(0, (1 << n) - 1)
-
-
-def forest_exact_exists(n: int, adj: Sequence[int], orders: Sequence[int]) -> bool:
-    return find_forest_exact_witness(n, adj, orders) is not None
 
 
 def _partitions(total: int, min_part: int):
@@ -645,16 +411,15 @@ def forest_min_edges_exists(n: int, adj: Sequence[int], min_edges: int, min_orde
     A forest with more edges can always be trimmed down to min_edges (order-2
     components) or to min_edges/min_edges+1 (order-3 components), so checking
     the exact edge counts via component-order partitions is equivalent.
+    Each partition is one exact forest, placed by its whole-graph plan.
     """
     if greedy_forest_edges(n, adj, min_order) >= min_edges:
         return True
     edge_targets = [min_edges] if min_order == 2 else [min_edges, min_edges + 1]
     for target in edge_targets:
         for part in _partitions(target, min_order - 1):
-            orders = [p + 1 for p in part]
-            if sum(orders) > n:
-                continue
-            if forest_exact_exists(n, adj, orders):
+            forest = LinearForestExact(tuple(p + 1 for p in part))
+            if _mono_copy(n, adj, forest) is not None:
                 return True
     return False
 
@@ -777,26 +542,14 @@ def mono_present(
     assumes the class without uv holds no copy of p and looks only for
     copies through uv, so under that assumption it gives the whole-graph
     answer.  Search engines add one edge at a time and stop at the first
-    copy, so the assumption holds after every edge they add.
-    ``LinearForestMin`` has no anchored form and is always tested on the
-    whole graph.
+    copy, so the assumption holds after every edge they add.  Without
+    ``edge`` it runs the pattern's whole-graph plan.  ``LinearForestMin``
+    has no anchored form and is always tested on the whole graph.
     """
     if isinstance(p, LinearForestMin):
         return forest_min_edges_exists(n, adj, p.min_edges, p.min_order)
     if edge is None:
-        if isinstance(p, Path):
-            return path_exists(n, adj, p.order)
-        if isinstance(p, Star):
-            return star_max_degree(n, adj) >= p.leaves
-        if isinstance(p, Kipas):
-            return kipas_exists(n, adj, p.order)
-        if isinstance(p, CompleteGraph):
-            return _has_clique(adj, (1 << n) - 1, p.order)
-        if isinstance(p, LinearForestExact):
-            return forest_exact_exists(n, adj, p.orders)
-        if isinstance(p, Explicit):
-            return find_explicit_witness(n, adj, p.edges, p.order) is not None
-        raise CapabilityError(f"unsupported pattern {p!r}")
+        return _mono_copy(n, adj, p) is not None
     if pattern_order(p) > n:
         return False
     u, v = edge
@@ -808,14 +561,16 @@ def mono_present(
         return _kipas_through(adj, p.order, u, v)
     if isinstance(p, CompleteGraph):
         return _has_clique(adj, adj[u] & adj[v], p.order - 2)
-    if isinstance(p, (LinearForestExact, Explicit)):
-        return _mono_embed_through(n, adj, p, u, v)
-    raise CapabilityError(f"unsupported pattern {p!r}")
+    plans = _anchor_plans(p)
+    if not plans:  # no edges: present whenever it fits
+        return True
+    mapping = [u, v] + [-1] * (pattern_order(p) - 2)
+    return _place_mono(n, adj, plans, mapping, 1 << u | 1 << v)
 
 
 # --- anchored detection ---------------------------------------------------------
 #
-# The helpers behind the anchored tests.  Each looks only for copies that
+# The fast paths behind the anchored tests.  Each looks only for copies that
 # use the edge uv.
 
 
@@ -870,29 +625,95 @@ def _kipas_through(adj: Sequence[int], order: int, u: int, v: int) -> bool:
     return False
 
 
-# (vertex, its pattern neighbors placed before it), in placement order
-_Plan = tuple[tuple[int, tuple[int, ...]], ...]
+# --- placement plans -------------------------------------------------------------
+#
+# A plan places pattern vertices one at a time; a map is indexed by
+# placement position.  Each step is (its position, the positions of its
+# pattern neighbors placed before it, the earlier position its image must
+# exceed or -1, its pattern degree, and its frontier: the earlier positions
+# it or a later step refers to, or None when the mono placer need not
+# remember the step's failures).  A whole-graph plan places vertices
+# 0..order-1 in order, so positions are pattern vertices.  An anchored plan
+# starts with a pattern edge at positions 0 and 1, already on the host edge
+# uv.  Two placers run plans: one in a color class, one for rainbow copies.
+
+_Plan = tuple[tuple[int, tuple[int, ...], int, int, "tuple[int, ...] | None"], ...]
 
 
-@lru_cache(maxsize=64)
-def _anchor_plans(p: PatternSpec) -> tuple[tuple[int, int, _Plan], ...]:
-    """The ways to lay a pattern edge on a host edge uv: (a, b, plan) sends
-    a to u and b to v, and the plan lists the other pattern vertices in
-    placement order, each with its pattern neighbors placed before it.
+def _neighbors(p: PatternSpec) -> list[list[int]]:
+    nbrs: list[list[int]] = [[] for _ in range(pattern_order(p))]
+    for a, b in pattern_edges(p):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
+
+
+def _steps(seq: Sequence[int], nbrs: list[list[int]], above: Sequence[int], first: int) -> _Plan:
+    """The plan placing the pattern vertices seq[first:] after seq[:first]."""
+    pos = {x: i for i, x in enumerate(seq)}
+    steps = []
+    referred: set[int] = set()
+    for i in range(len(seq) - 1, first - 1, -1):
+        x = seq[i]
+        placed = tuple(pos[y] for y in nbrs[x] if pos[y] < i)
+        bound = pos[above[x]] if above[x] >= 0 else -1
+        referred.update(placed)
+        if bound >= 0:
+            referred.add(bound)
+        frontier = None  # the first step runs once; the last three are cheap to redo
+        if first < i < len(seq) - 3:
+            frontier = tuple(sorted(y for y in referred if y < i))
+        steps.append((i, placed, bound, len(nbrs[x]), frontier))
+    return tuple(reversed(steps))
+
+
+@lru_cache(maxsize=128)
+def _whole_plan(p: PatternSpec) -> _Plan:
+    """Pattern vertices 0..order-1, in order.
+
+    The bounds break the pattern's symmetries: a path or a forest component
+    ends above where it starts, so does a kipas rim, star leaves and clique
+    vertices ascend, and components of equal order start in ascending
+    order.  A map that breaks a bound has a symmetric image that is
+    lexicographically smaller, so the first map placed with ascending
+    candidates is still the lexicographically least copy.
+    """
+    order = pattern_order(p)
+    above = [-1] * order
+    if isinstance(p, (Path, LinearForestExact)):
+        orders = (p.order,) if isinstance(p, Path) else p.orders
+        base = 0
+        for i, o in enumerate(orders):
+            if o > 1:
+                above[base + o - 1] = base
+            if i and orders[i - 1] == o:
+                above[base] = base - o
+            base += o
+    elif isinstance(p, Kipas) and p.order > 1:
+        above[p.order] = 1
+    elif isinstance(p, (Star, CompleteGraph)):
+        first = 2 if isinstance(p, Star) else 1
+        for x in range(first, order):
+            above[x] = x - 1
+    return _steps(range(order), _neighbors(p), above, 0)
+
+
+@lru_cache(maxsize=128)
+def _anchor_plans(p: PatternSpec) -> tuple[_Plan, ...]:
+    """The ways to lay a pattern edge ab on a host edge uv, a at position 0
+    and b at position 1, each with the plan placing the other vertices.
 
     Every edge is tried in both directions, except on paths and linear
     forests: reversing a component maps one direction onto the other, and
     components of equal order are interchangeable, so one direction of
     each edge of one component per order covers every copy.  The placement
     order is breadth first from {a, b}, then component by component, so
-    every vertex of the anchored component has a placed neighbor.
+    every vertex of the anchored component has a placed neighbor.  Anchored
+    plans carry no symmetry bounds.
     """
     order = pattern_order(p)
     edges = pattern_edges(p)
-    nbrs: list[list[int]] = [[] for _ in range(order)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = _neighbors(p)
     if isinstance(p, (Path, LinearForestExact)):
         anchors = []
         base = 0
@@ -918,39 +739,128 @@ def _anchor_plans(p: PatternSpec) -> tuple[tuple[int, int, _Plan], ...]:
             if root not in seq:
                 seq.append(root)
                 breadth_first(seq)
-        plan = tuple((x, tuple(y for y in nbrs[x] if y in seq[:i])) for i, x in enumerate(seq))
-        plans.append((a, b, plan[2:]))
+        plans.append(_steps(seq, nbrs, [-1] * order, 2))
     return tuple(plans)
 
 
-def _mono_embed_through(n: int, adj: Sequence[int], p: PatternSpec, u: int, v: int) -> bool:
-    """Lay some pattern edge on uv and place the other vertices."""
-    plans = _anchor_plans(p)
-    if not plans:  # no edges: present whenever it fits
-        return True
-    everyone = (1 << n) - 1
-    mapping = [-1] * pattern_order(p)
+def _place_mono(
+    n: int, adj: Sequence[int], plans: Sequence[_Plan], mapping: list[int], used: int
+) -> bool:
+    """Complete ``mapping`` by one of the plans inside one color class,
+    trying them in turn from the same placed positions (host set ``used``).
 
-    def place(plan, j: int, used: int) -> bool:
+    A vertex goes to a host vertex joined to the images of its placed
+    neighbors and whose class degree is at least its pattern degree.
+    Candidates are tried in ascending order; on success ``mapping`` holds
+    the first map found.  What the rest of a plan can still do depends only
+    on the used host vertices and the images of the placed vertices it
+    refers to, so a step with a frontier that fails is remembered under
+    those and not retried, and a long path plan visits each (vertex set,
+    first, last vertex) at most once, as a subset DP would.
+    """
+    everyone = (1 << n) - 1
+    shift = n.bit_length()
+
+    def place(j: int, used: int) -> bool:
         if j == len(plan):
             return True
-        x, placed = plan[j]
+        x, placed, above, degree, frontier = plan[j]
+        if frontier is not None:
+            key = used
+            for y in frontier:
+                key = key << shift | mapping[y]
+            key = key << shift | j
+            if key in failed:
+                return False
         cand = everyone & ~used
         for y in placed:
             cand &= adj[mapping[y]]
+        if above >= 0:
+            cand &= -2 << mapping[above]
         while cand:
             low = cand & -cand
             cand ^= low
-            mapping[x] = low.bit_length() - 1
-            if place(plan, j + 1, used | low):
-                return True
+            w = low.bit_length() - 1
+            if adj[w].bit_count() >= degree:
+                mapping[x] = w
+                if place(j + 1, used | low):
+                    return True
+        if frontier is not None:
+            failed.add(key)
         return False
 
-    for a, b, plan in plans:
-        mapping[a], mapping[b] = u, v
-        if place(plan, 0, 1 << u | 1 << v):
+    for plan in plans:
+        failed: set[int] = set()
+        if place(0, used):
             return True
     return False
+
+
+def _place_rainbow(
+    n: int, colors: Sequence[int], plans: Sequence[_Plan], mapping: list[int], used: int,
+    taken: set[int],
+) -> bool:
+    """Complete ``mapping`` by one of the plans so that the new edges carry
+    decided colors (0 = undecided), pairwise distinct and outside ``taken``,
+    trying the plans in turn from the same placed positions (host set
+    ``used``).
+
+    A vertex with no placed neighbor only goes where at least its pattern
+    degree of distinct decided colors meet.  Candidates are tried in
+    ascending order; on success ``mapping`` holds the first map found.
+    """
+
+    def place(j: int, used: int) -> bool:
+        if j == len(plan):
+            return True
+        x, placed, above, degree, _ = plan[j]
+        spread = 0 if placed else degree  # colors a vertex with no placed neighbor needs
+        for w in range(mapping[above] + 1 if above >= 0 else 0, n):
+            if used >> w & 1 or spread > 1 and _color_degree(n, colors, w) < spread:
+                continue
+            new: list[int] = []
+            for y in placed:
+                a = mapping[y]
+                c = colors[pair_rank(a, w, n) if a < w else pair_rank(w, a, n)]
+                if c == 0 or c in taken or c in new:
+                    break
+                new.append(c)
+            else:
+                mapping[x] = w
+                taken.update(new)
+                if place(j + 1, used | 1 << w):
+                    return True
+                taken.difference_update(new)
+        return False
+
+    for plan in plans:
+        if place(0, used):
+            return True
+    return False
+
+
+def _color_degree(n: int, colors: Sequence[int], w: int) -> int:
+    """Number of distinct decided colors on the edges at w."""
+    seen = {colors[pair_rank(z, w, n)] for z in range(w)}
+    seen.update(colors[pair_rank(w, z, n)] for z in range(w + 1, n))
+    return len(seen - {0})
+
+
+def _mono_copy(n: int, adj: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
+    """Lexicographically least map of a copy of p in one color class."""
+    mapping = [-1] * pattern_order(p)
+    if len(mapping) <= n and _place_mono(n, adj, (_whole_plan(p),), mapping, 0):
+        return tuple(mapping)
+    return None
+
+
+def _rainbow_copy(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
+    """Lexicographically least map of a rainbow copy of p in a flat color
+    array indexed by ``pair_rank``, where 0 marks an undecided edge."""
+    mapping = [-1] * pattern_order(p)
+    if len(mapping) <= n and _place_rainbow(n, colors, (_whole_plan(p),), mapping, 0, set()):
+        return tuple(mapping)
+    return None
 
 
 # --- public operations on colorings -------------------------------------------
@@ -959,15 +869,14 @@ def _mono_embed_through(n: int, adj: Sequence[int], p: PatternSpec, u: int, v: i
 def longest_mono_path(coloring: EdgeColoring, c: int) -> tuple[int, Embedding]:
     """Maximum order of a path in color class c, with a witness path."""
     adj = coloring.adjacency(c)
-    n = coloring.n_vertices
-    order = longest_path_order(n, adj)
-    witness = find_path_witness(n, adj, order)
+    order = longest_path_order(coloring.n_vertices, adj)
+    witness = _mono_copy(coloring.n_vertices, adj, Path(order))
     assert witness is not None
     return order, Embedding(Path(order), witness, color=c)
 
 
 def has_mono_pattern(coloring: EdgeColoring, c: int, p: PatternSpec) -> Embedding | None:
-    """An embedding of p into color class c, or None.
+    """The lexicographically least embedding of p into color class c, or None.
 
     A kipas is present when some hub vertex has a path of the required order
     inside its class-neighborhood (hub, spokes and path edges all colored c).
@@ -976,37 +885,8 @@ def has_mono_pattern(coloring: EdgeColoring, c: int, p: PatternSpec) -> Embeddin
         raise CapabilityError(
             "minimum-edge forests have no fixed vertex set; use max_linear_forest"
         )
-    adj = coloring.adjacency(c)
-    n = coloring.n_vertices
-    if isinstance(p, Path):
-        w = find_path_witness(n, adj, p.order)
-    elif isinstance(p, Star):
-        w = _find_star_witness(n, adj, p.leaves)
-    elif isinstance(p, Kipas):
-        w = find_kipas_witness(n, adj, p.order)
-    elif isinstance(p, CompleteGraph):
-        w = find_clique_witness(n, adj, p.order)
-    elif isinstance(p, LinearForestExact):
-        comps = find_forest_exact_witness(n, adj, p.orders)
-        w = None if comps is None else tuple(v for comp in comps for v in comp)
-    elif isinstance(p, Explicit):
-        w = find_explicit_witness(n, adj, p.edges, p.order)
-    else:
-        raise CapabilityError(f"unsupported pattern {p!r}")
-    if w is None:
-        return None
-    return Embedding(p, tuple(w), color=c)
-
-
-def _find_star_witness(n: int, adj: Sequence[int], leaves: int) -> tuple[int, ...] | None:
-    for v in range(n):
-        if adj[v].bit_count() >= leaves:
-            chosen = []
-            for u in _bits(adj[v]):
-                chosen.append(u)
-                if len(chosen) == leaves:
-                    return (v, *chosen)
-    return None
+    w = _mono_copy(coloring.n_vertices, coloring.adjacency(c), p)
+    return None if w is None else Embedding(p, w, color=c)
 
 
 def max_linear_forest(
@@ -1024,63 +904,12 @@ def max_linear_forest(
 
 
 def has_rainbow(coloring: EdgeColoring, p: PatternSpec) -> Embedding | None:
-    """An embedding of p whose edges carry pairwise distinct colors, or None."""
+    """The lexicographically least embedding of p whose edges carry pairwise
+    distinct colors, or None."""
     if pattern_order(p) > 5:
         raise CapabilityError("rainbow detection supports patterns on at most 5 vertices")
-    w = rainbow_map(coloring.n_vertices, coloring.colors, p)
+    w = _rainbow_copy(coloring.n_vertices, coloring.colors, p)
     return None if w is None else Embedding(p, w, color=None)
-
-
-def rainbow_map(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
-    """Smallest vertex map of a rainbow copy of p in a flat color array.
-
-    ``colors`` is indexed by ``pair_rank``; a 0 marks an undecided edge,
-    which no copy may use, so search engines run it on partial colorings.
-    """
-    if isinstance(p, Star):
-        return _rainbow_star_map(n, colors, p.leaves)
-    order = pattern_order(p)
-    if order > n:
-        return None
-    nbrs: list[list[int]] = [[] for _ in range(order)]
-    for a, b in pattern_edges(p):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    mapping = [-1] * order
-    used = 0
-    taken: set[int] = set()
-
-    def place(i: int):
-        nonlocal used
-        if i == order:
-            return tuple(mapping)
-        for hv in range(n):
-            if (used >> hv) & 1:
-                continue
-            new_cols = []
-            ok = True
-            for w in nbrs[i]:
-                if w < i:
-                    a = mapping[w]
-                    c = colors[pair_rank(a, hv, n) if a < hv else pair_rank(hv, a, n)]
-                    if c == 0 or c in taken or c in new_cols:
-                        ok = False
-                        break
-                    new_cols.append(c)
-            if not ok:
-                continue
-            mapping[i] = hv
-            used |= 1 << hv
-            taken.update(new_cols)
-            got = place(i + 1)
-            if got:
-                return got
-            taken.difference_update(new_cols)
-            used &= ~(1 << hv)
-            mapping[i] = -1
-        return None
-
-    return place(0)
 
 
 def rainbow_present(
@@ -1093,62 +922,15 @@ def rainbow_present(
     only for copies through it.
     """
     if edge is None:
-        return rainbow_map(n, colors, p) is not None
+        return _rainbow_copy(n, colors, p) is not None
     u, v = edge
-
-    def color(a: int, b: int) -> int:
-        return colors[pair_rank(a, b, n) if a < b else pair_rank(b, a, n)]
-
     if isinstance(p, Star):
-        return any(
-            len({color(w, x) for x in range(n) if x != w} - {0}) >= p.leaves for w in (u, v)
-        )
+        return max(_color_degree(n, colors, u), _color_degree(n, colors, v)) >= p.leaves
     if pattern_order(p) > n:
         return False
     plans = _anchor_plans(p)
     if not plans:  # no edges: present whenever it fits
         return True
-    mapping = [-1] * pattern_order(p)
-    taken = {color(u, v)}
-
-    def place(plan, j: int, used: int) -> bool:
-        if j == len(plan):
-            return True
-        x, placed = plan[j]
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            new: list[int] = []
-            for y in placed:
-                c = color(mapping[y], w)
-                if c == 0 or c in taken or c in new:
-                    break
-                new.append(c)
-            else:
-                mapping[x] = w
-                taken.update(new)
-                if place(plan, j + 1, used | 1 << w):
-                    return True
-                taken.difference_update(new)
-        return False
-
-    for a, b, plan in plans:
-        mapping[a], mapping[b] = u, v
-        if place(plan, 0, 1 << u | 1 << v):
-            return True
-    return False
-
-
-def _rainbow_star_map(n: int, colors: Sequence[int], leaves: int) -> tuple[int, ...] | None:
-    """First center (then its first leaves) meeting ``leaves`` distinct decided colors."""
-    for v in range(n):
-        first: dict[int, int] = {}  # color -> first leaf carrying it
-        for u in range(n):
-            if u == v:
-                continue
-            c = colors[pair_rank(u, v, n) if u < v else pair_rank(v, u, n)]
-            if c and c not in first:
-                first[c] = u
-                if len(first) == leaves:
-                    return (v, *first.values())
-    return None
+    mapping = [u, v] + [-1] * (pattern_order(p) - 2)
+    taken = {colors[pair_rank(min(u, v), max(u, v), n)]}
+    return _place_rainbow(n, colors, plans, mapping, 1 << u | 1 << v, taken)

@@ -26,6 +26,7 @@ from .constructions import _T_CROSS, _T_INTERNAL
 from .errors import BudgetExceeded, CapabilityError, DomainError
 from .formulas import UNBOUNDED, ValueOrInterval, exact, interval
 from .patterns import (
+    Kipas,
     LinearForestMin,
     Path,
     PatternSpec,
@@ -33,7 +34,6 @@ from .patterns import (
     P4_PLUS,
     forest_min_edges_exists,
     format_pattern,
-    kipas_exists,
     mono_present,
     pattern_min_edges,
     pattern_order,
@@ -389,7 +389,7 @@ def randomized_kipas_forest_refutation(
         if forest_min_edges_exists(size, blue, need, 3):
             continue
         red = [((1 << size) - 1) & ~(1 << v) & ~blue[v] for v in range(size)]
-        if kipas_exists(size, red, n):
+        if mono_present(size, red, Kipas(n)):
             continue
         colors = [2 if (bits >> i) & 1 else 1 for i in range(m)]
         return EdgeColoring(size, 2, colors, exact_flag=len(set(colors)) == 2)

@@ -33,9 +33,9 @@ MONO_PATTERNS = [
     Kipas(1), Kipas(2), Kipas(3), Kipas(4),
     CompleteGraph(2), CompleteGraph(3), CompleteGraph(4),
     LinearForestExact((2, 2)), LinearForestExact((3, 3)), LinearForestExact((2, 4)),
-    LinearForestExact((2, 2, 2)),
+    LinearForestExact((2, 2, 2)), LinearForestExact((3, 2, 2)),
     P4_PLUS, Explicit(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
-    LinearForestMin(2, 2), LinearForestMin(3, 3),
+    LinearForestMin(2, 2), LinearForestMin(3, 3), LinearForestMin(4, 3),
 ]
 
 RAINBOW_PATTERNS = [

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ramseykit.cli import main
-from ramseykit.coloring import read_coloring_file
+from ramseykit.coloring import EdgeColoring, read_coloring_file, write_coloring_file
 
 
 def test_formula_command(capsys):
@@ -173,6 +173,25 @@ def test_capability_abort_is_not_a_budget_abort(capsys):
     assert main(argv + ["--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"error": "no structure case list for rainbow star:4; use full enumeration"}
+
+
+def test_detect_capability_limit_emits_json(tmp_path, capsys):
+    big = tmp_path / "k21.ecg"
+    write_coloring_file(EdgeColoring.constant(21, 1), big)
+    small = tmp_path / "k7.ecg"
+    write_coloring_file(EdgeColoring.constant(7, 1, n_colors=3), small)
+    cases = [
+        (big, "mono:lf:minedges=5,minorder=3", "linear forest search supports at most 20 vertices"),
+        (small, "rainbow:path:6", "rainbow detection supports patterns on at most 5 vertices"),
+    ]
+    for path, pattern, error in cases:
+        argv = ["detect", "--input", str(path), "--pattern", pattern, "--any-color"]
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": error}
+        assert captured.err == ""
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"capability limit: {error}\n"
 
 
 def test_classify_command(tmp_path, capsys):

@@ -264,3 +264,46 @@ def test_path_monotonicity_and_kipas_consistency(coloring):
         for kn in (2, 3, 4):
             if has_mono_pattern(coloring, c, Kipas(kn)) is not None:
                 assert order >= kn
+
+
+LEX_SHAPES = [
+    Path(1), Path(2), Path(3), Path(4), Path(5), Star(1), Star(2), Star(3),
+    Kipas(1), Kipas(2), Kipas(3), CompleteGraph(2), CompleteGraph(3), CompleteGraph(4),
+    LinearForestExact((2, 2)), LinearForestExact((3, 2)), LinearForestExact((2, 2, 2)),
+    P4_PLUS, Explicit(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+]
+
+
+def _first_permutation(coloring, p, accepts):
+    """The first vertex map in itertools.permutations order that ``accepts``."""
+    edges = pattern_edges(p)
+    for image in itertools.permutations(range(coloring.n_vertices), pattern_order(p)):
+        if accepts([coloring.color_of(*sorted((image[a], image[b]))) for a, b in edges]):
+            return image
+    return None
+
+
+def test_witnesses_are_the_first_permutation_the_naive_check_accepts():
+    # the symmetry bounds of the placement plans must never skip the least map
+    rng = random.Random(7)
+    mono = rainbow = 0
+    for trial in range(500):
+        p = LEX_SHAPES[trial % len(LEX_SHAPES)]
+        n = rng.randint(1, 7)
+        colors = [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)]
+        coloring = EdgeColoring(n, 3, colors)
+        for c in (1, 2, 3):
+            got = has_mono_pattern(coloring, c, p)
+            want = _first_permutation(coloring, p, lambda cols: all(x == c for x in cols))
+            assert (got and got.vertex_map) == want, (p, n, colors, c)
+            mono += 1
+        if pattern_order(p) > 5:
+            continue
+        for k in (3, 4, 5):
+            colors = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
+            coloring = EdgeColoring(n, k, colors)
+            got = has_rainbow(coloring, p)
+            want = _first_permutation(coloring, p, lambda cols: len(set(cols)) == len(cols))
+            assert (got and got.vertex_map) == want, (p, n, colors)
+            rainbow += 1
+    assert mono == 1500 and rainbow > 1300, (mono, rainbow)
