@@ -3,9 +3,10 @@
 Subcommands are thin adapters over the library: no combinatorial logic
 lives here.  Exit codes are uniform across subcommands: 0 when a value was
 found, a property holds, a pattern is present, or a coloring classified;
-1 for absent / counterexample / failing self-test; 2 for usage errors and
-exceeded capability or budget.  Plain line-oriented reports by default,
-``--json`` emits the same fields as one JSON object.
+1 for absent / counterexample / failing self-test; 2 for usage errors,
+missing, unreadable or malformed input files and exceeded capability or
+budget.  Plain line-oriented reports by default, ``--json`` emits the same
+fields as one JSON object, an error included (``{"error": ...}``).
 """
 
 from __future__ import annotations
@@ -470,8 +471,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RamseykitError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (RamseykitError, OSError) as err:  # OSError: an unreadable input file
+        if getattr(args, "json", False):
+            _emit(args, {"error": str(err)}, [])
+        else:
+            print(f"error: {err}", file=sys.stderr)
         return 2
 
 

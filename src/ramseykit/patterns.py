@@ -6,10 +6,15 @@ plan places vertices 0..order-1 with symmetry bounds, so the first map
 found is the lexicographically smallest copy; anchored plans start from a
 pattern edge laid on the host edge the search just decided.  One placer
 runs plans in a color class (per-color adjacency bitmasks), one runs them
-for rainbow copies (a flat color array, 0 = undecided).  Paths, stars,
-cliques and kipas also have anchored fast paths, the longest path order
-comes from the classic DP over (vertex subset, endpoint) states, and
-minimum-edge forests use one plan per component-order partition.
+for rainbow copies (a flat color array, 0 = undecided).  The rainbow
+placer reads the pair (u, v), u < v, as ``colors[base[u] + v]`` from a
+per-n table of row offsets (``base[u] + v == pair_rank(u, v, n)``), and a
+rainbow copy needs one distinct decided color per edge, so the
+whole-graph rainbow tests answer "absent" at once when fewer colors are in
+use than the pattern has edges.  Paths, stars, cliques and kipas also have
+anchored fast paths, the longest path order comes from the classic DP over
+(vertex subset, endpoint) states, and minimum-edge forests use one plan
+per component-order partition.
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -199,6 +204,7 @@ def pattern_order(p: PatternSpec) -> int:
     raise DomainError(f"{format_pattern(p)} has no fixed vertex count")
 
 
+@lru_cache(maxsize=128)
 def pattern_edges(p: PatternSpec) -> tuple[tuple[int, int], ...]:
     """Edges of a fixed-shape pattern over vertices 0..order-1.
 
@@ -810,6 +816,8 @@ def _place_rainbow(
     ascending order; on success ``mapping`` holds the first map found.
     """
 
+    base = _bases(n)
+
     def place(j: int, used: int) -> bool:
         if j == len(plan):
             return True
@@ -819,9 +827,10 @@ def _place_rainbow(
             if used >> w & 1 or spread > 1 and _color_degree(n, colors, w) < spread:
                 continue
             new: list[int] = []
+            row = base[w]
             for y in placed:
                 a = mapping[y]
-                c = colors[pair_rank(a, w, n) if a < w else pair_rank(w, a, n)]
+                c = colors[base[a] + w if a < w else row + a]
                 if c == 0 or c in taken or c in new:
                     break
                 new.append(c)
@@ -839,11 +848,20 @@ def _place_rainbow(
     return False
 
 
+@lru_cache(maxsize=64)
+def _bases(n: int) -> tuple[int, ...]:
+    """Row offsets of the flat color array: base[u] + v == pair_rank(u, v, n)
+    for u < v, so the placers index a pair without a call."""
+    return tuple(pair_rank(u, u + 1, n) - u - 1 for u in range(n))
+
+
 def _color_degree(n: int, colors: Sequence[int], w: int) -> int:
     """Number of distinct decided colors on the edges at w."""
-    seen = {colors[pair_rank(z, w, n)] for z in range(w)}
-    seen.update(colors[pair_rank(w, z, n)] for z in range(w + 1, n))
-    return len(seen - {0})
+    base = _bases(n)
+    seen = set(colors[base[w] + w + 1 : base[w] + n])  # the pairs (w, z), z > w
+    seen.update(colors[base[z] + w] for z in range(w))
+    seen.discard(0)
+    return len(seen)
 
 
 def _mono_copy(n: int, adj: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
@@ -856,9 +874,18 @@ def _mono_copy(n: int, adj: Sequence[int], p: PatternSpec) -> tuple[int, ...] | 
 
 def _rainbow_copy(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
     """Lexicographically least map of a rainbow copy of p in a flat color
-    array indexed by ``pair_rank``, where 0 marks an undecided edge."""
-    mapping = [-1] * pattern_order(p)
-    if len(mapping) <= n and _place_rainbow(n, colors, (_whole_plan(p),), mapping, 0, set()):
+    array indexed by ``pair_rank``, where 0 marks an undecided edge.
+
+    A rainbow copy needs one distinct decided color per edge, so with fewer
+    colors in use than p has edges there is none to look for.
+    """
+    plan = _whole_plan(p)
+    in_use = set(colors)
+    in_use.discard(0)
+    if len(plan) > n or len(in_use) < len(pattern_edges(p)):
+        return None
+    mapping = [-1] * len(plan)
+    if _place_rainbow(n, colors, (plan,), mapping, 0, set()):
         return tuple(mapping)
     return None
 
@@ -919,7 +946,9 @@ def rainbow_present(
 
     With ``edge`` = (u, v), a decided edge, the test is anchored as in
     :func:`mono_present`: it assumes no rainbow copy avoids uv and looks
-    only for copies through it.
+    only for copies through it.  The whole-graph test answers "absent" at
+    once when fewer colors are in use than p has edges; the anchored test
+    leaves that count to its caller, which keeps it per color class.
     """
     if edge is None:
         return _rainbow_copy(n, colors, p) is not None

@@ -35,6 +35,7 @@ from .patterns import (
     forest_min_edges_exists,
     format_pattern,
     mono_present,
+    pattern_edges,
     pattern_min_edges,
     pattern_order,
     rainbow_present,
@@ -107,7 +108,10 @@ def _scan(
     pair (color, pattern) prunes a branch once the pattern shows up in that
     color class of the decided edges; the RAINBOW key tracks rainbow copies
     instead.  Only copies through the newest edge are looked for, since the
-    branch was free of every tracked pattern before it.  ``surjective``
+    branch was free of every tracked pattern before it.  A rainbow copy
+    needs one color per edge, so a rainbow pattern with more edges than k
+    is dropped, and its test is skipped while fewer color classes are
+    nonempty than it has edges.  ``surjective``
     keeps only colorings using all k colors; the result is flagged exact
     when it uses them all.
     """
@@ -116,10 +120,12 @@ def _scan(
     adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
     class_edges = [0] * (k + 1)
     mono: list[list[tuple[int, PatternSpec]]] = [[] for _ in range(k + 1)]
-    rainbow: list[PatternSpec] = []
+    rainbow: list[tuple[int, PatternSpec]] = []
     for key, p in tracked:
         if key == RAINBOW:
-            rainbow.append(p)
+            size = len(pattern_edges(p))
+            if size <= k:
+                rainbow.append((size, p))
             continue
         # a forest with m edges needs at least m+1 vertices
         order = p.min_edges + 1 if isinstance(p, LinearForestMin) else pattern_order(p)
@@ -142,7 +148,12 @@ def _scan(
         return False
 
     def rainbow_hit(edge: tuple[int, int]) -> bool:
-        return any(rainbow_present(n, ecolor, p, edge) for p in rainbow)
+        if not rainbow:
+            return False
+        in_use = k + 1 - class_edges.count(0)  # class_edges[0] stays 0
+        return any(
+            in_use >= size and rainbow_present(n, ecolor, p, edge) for size, p in rainbow
+        )
 
     # Fixed edges go in one at a time; a color class stops being tested once
     # it holds a pattern, and every test stops once a rainbow copy shows up.

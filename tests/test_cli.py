@@ -231,6 +231,44 @@ def test_usage_errors_exit_two():
     assert main(["compute", "--quantity", "ramsey", "--max-n", "6"]) == 2
 
 
+def test_unreadable_input_exits_two(tmp_path, capsys):
+    # exit 1 means "absent" or "unclassified", so a missing file must not end there
+    missing = str(tmp_path / "missing.ecg")
+    for argv in (
+        ["detect", "--input", missing, "--pattern", "mono:path:3", "--any-color"],
+        ["classify", "--input", missing, "--context", "k13"],
+        ["classify", "--input", str(tmp_path), "--context", "k13"],  # a directory
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and argv[2] in captured.err
+
+
+def test_errors_emit_json(tmp_path, capsys):
+    bad = tmp_path / "bad.ecg"
+    bad.write_text("ecg 2\n")
+    cases = [
+        (["detect", "--input", str(bad), "--pattern", "mono:path:3", "--any-color"],
+         "line 1: expected 'ecg 1' header, got 'ecg 2'"),
+        (["compute", "--quantity", "ramsey", "--max-n", "6"],
+         "ramsey needs --red and --blue patterns"),
+        (["classify", "--input", str(tmp_path / "missing.ecg"), "--context", "k13"], None),
+    ]
+    for argv, error in cases:
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert list(payload) == ["error"] and captured.err == ""
+        if error is not None:
+            assert payload["error"] == error
+        else:
+            assert "missing.ecg" in payload["error"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_selftest_catches_a_broken_path_search(monkeypatch, capsys):
     import ramseykit.patterns as patterns
     from ramseykit.acceptance import run_criterion

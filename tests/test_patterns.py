@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given
 
-from ramseykit.coloring import EdgeColoring
+from ramseykit import patterns
+from ramseykit.coloring import EdgeColoring, pair_rank
 from ramseykit.constructions import (
     g3_coloring,
     witness_b3_kipas,
@@ -37,6 +38,7 @@ from ramseykit.patterns import (
     parse_pattern,
     pattern_edges,
     pattern_order,
+    rainbow_present,
     verify_embedding,
     verify_forest_witness,
 )
@@ -220,6 +222,60 @@ def test_has_rainbow_examples():
 
     with pytest.raises(CapabilityError):
         has_rainbow(coloring, Path(6))
+    # one or two colors rule out any rainbow P_6, but the cap is still reported
+    for few in (EdgeColoring.constant(7, 1), EdgeColoring(7, 2, [1, 2] * 10 + [1])):
+        for p in (Path(6), Kipas(5)):
+            with pytest.raises(CapabilityError):
+                has_rainbow(few, p)
+
+
+RAINBOW_SHAPES = [
+    Path(2), Path(3), Path(4), Path(5), Star(1), Star(2), Star(3), Kipas(2),
+    CompleteGraph(3), P4_PLUS, LinearForestExact((2, 2)),
+]
+
+
+def test_flat_array_addressing_matches_pair_rank():
+    rng = random.Random(7)
+    for n in range(2, 13):
+        base = patterns._bases(n)
+        assert len(base) == n
+        for u, v in itertools.combinations(range(n), 2):
+            assert base[u] + v == pair_rank(u, v, n), (n, u, v)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, 5)
+        colors = [rng.randint(0, k) for _ in range(n * (n - 1) // 2)]
+        for w in range(n):
+            want = {colors[pair_rank(min(w, z), max(w, z), n)] for z in range(n) if z != w}
+            assert patterns._color_degree(n, colors, w) == len(want - {0}), (n, colors, w)
+
+
+def test_fewer_colors_in_use_than_edges_means_no_rainbow_copy():
+    rng = random.Random(8)
+    checked = naive = 0
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        palette = rng.sample(range(1, 7), rng.randint(1, 4))
+        colors = [rng.choice([0] + palette) for _ in range(n * (n - 1) // 2)]
+        in_use = set(colors) - {0}
+        # undecided edges take a color already in use: still no more colors
+        filled = [c or min(in_use) for c in colors] if in_use else None
+        decided = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                   if colors[pair_rank(u, v, n)]]
+        for p in RAINBOW_SHAPES:
+            if len(in_use) >= len(pattern_edges(p)):
+                continue
+            checked += 1
+            assert not rainbow_present(n, colors, p), (n, colors, p)
+            for edge in decided:
+                assert not rainbow_present(n, colors, p, edge), (n, colors, p, edge)
+            if filled is not None and n <= 6:
+                naive += 1
+                coloring = EdgeColoring(n, max(in_use), filled)
+                assert not naive_has_rainbow(coloring, p), (n, filled, p)
+                assert has_rainbow(coloring, p) is None
+    assert checked > 800 and naive > 400, (checked, naive)
 
 
 def test_pattern_larger_than_host_is_absent():

@@ -7,6 +7,7 @@ from ramseykit.patterns import (
     Kipas,
     LinearForestExact,
     LinearForestMin,
+    P4_PLUS,
     Path,
     Star,
     has_mono_pattern,
@@ -245,6 +246,17 @@ def test_node_counts_and_witnesses_are_pinned():
 
     rep = gr_desk_verify(3, Star(3), Path(4), 6, mode="full")
     assert rep.holds and rep.nodes_explored == 2_568
+
+    # full mode with a rainbow pattern that has more edges than colors, or
+    # that needs every color in use: the color-count bound prunes nothing
+    for k, rainbow, target, n, nodes in [
+        (3, Path(5), Path(4), 6, 20_172),
+        (3, P4_PLUS, Path(4), 6, 20_172),
+        (3, Star(3), CompleteGraph(3), 6, 12_702),
+        (4, Star(3), Path(4), 5, 4_820),
+    ]:
+        rep = gr_desk_verify(k, rainbow, target, n, mode="full")
+        assert rep.holds and rep.nodes_explored == nodes, (k, rainbow, target, n)
 
     rep = brute_force_ramsey(CompleteGraph(3), Path(5), 9)
     assert rep.value.value == 9 and rep.nodes_explored == 28_748
