@@ -333,11 +333,8 @@ def run_criterion(ident: str, seed: int = 0) -> CriterionResult:
 
 
 def run_all(only: str | None = None, seed: int = 0) -> list[CriterionResult]:
-    results = []
-    for cid, desc, fn in ALL_CRITERIA:
-        if only is not None and only not in cid:
-            continue
-        t0 = time.monotonic()
-        passed, detail = fn(seed)
-        results.append(CriterionResult(cid, desc, passed, detail, time.monotonic() - t0))
-    return results
+    return [
+        run_criterion(cid, seed)
+        for cid, _, _ in ALL_CRITERIA
+        if only is None or only in cid
+    ]

@@ -28,12 +28,8 @@ from .patterns import (
     LinearForestExact,
     LinearForestMin,
     Path,
-    Star,
-    P4_PLUS,
     parse_pattern,
 )
-
-_RAINBOW_NAMES = {"p5": Path(5), "k13": Star(3), "p4plus": P4_PLUS}
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -319,7 +315,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_grverify(args) -> int:
-    rainbow = _RAINBOW_NAMES.get(args.rainbow) or parse_pattern(args.rainbow)
+    context = structure.CONTEXTS.get(args.rainbow)
+    rainbow = context[0] if context else parse_pattern(args.rainbow)
     target = parse_pattern(args.target)
     try:
         rep = search.gr_desk_verify(
@@ -443,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grverify", help="verify a Gallai-Ramsey claim at one size")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rainbow", required=True, help="p5, k13, p4plus or a pattern")
+    p.add_argument(
+        "--rainbow", required=True, help=f"{', '.join(structure.CONTEXTS)} or a pattern"
+    )
     p.add_argument("--target", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--mode", choices=["full", "structure"], default="structure")
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an ecg file against a rainbow context")
     p.add_argument("--input", required=True)
-    p.add_argument("--context", required=True, choices=["p5", "k13", "p4plus"])
+    p.add_argument("--context", required=True, choices=list(structure.CONTEXTS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

@@ -328,15 +328,13 @@ def _bits(mask: int):
         mask ^= b
 
 
-def longest_path_order(n: int, adj: Sequence[int], stop_at: int | None = None) -> int:
-    """Maximum order of a path; optionally stops early once >= stop_at."""
+def longest_path_order(n: int, adj: Sequence[int]) -> int:
+    """Maximum order of a path."""
     if n == 0:
         return 0
     if n > PATH_DP_MAX_VERTICES:
         raise CapabilityError(f"path search supports at most {PATH_DP_MAX_VERTICES} vertices")
     best = 1
-    if stop_at is not None and stop_at <= 1:
-        return best
     full = 1 << n
     dp = [0] * full
     for v in range(n):
@@ -348,8 +346,6 @@ def longest_path_order(n: int, adj: Sequence[int], stop_at: int | None = None) -
         size = mask.bit_count()
         if size > best:
             best = size
-            if stop_at is not None and best >= stop_at:
-                return best
         for v in _bits(ends):
             ext = adj[v] & ~mask
             for u in _bits(ext):

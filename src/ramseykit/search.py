@@ -9,7 +9,11 @@ enumeration order (edges lexicographic, colors ascending).
 
 Every engine is one call of :func:`_scan`, which takes the allowed colors
 of each edge: all k for a full enumeration, a single color for an edge a
-family or shape fixes, a pair inside a part of the bk or t family.
+family or shape fixes, a pair inside a part of the bk or t family.  The
+family engines (``compute_bk``, ``compute_t`` and structure mode) share one
+loop, :func:`_rows_counterexample`, over rows of ``structure.SHAPES``, each
+row a builder of allowed-color lists; ``structure.CONTEXTS`` names the rows
+of each rainbow context's case list.
 
 Node budgets abort with a partial result attached to a
 :class:`CapabilityError` rather than running unbounded.
@@ -22,16 +26,12 @@ import time
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, pair_iter
-from .constructions import _T_CROSS, _T_INTERNAL
 from .errors import BudgetExceeded, CapabilityError, DomainError
 from .formulas import UNBOUNDED, ValueOrInterval, exact, interval
 from .patterns import (
     Kipas,
     LinearForestMin,
-    Path,
     PatternSpec,
-    Star,
-    P4_PLUS,
     forest_min_edges_exists,
     format_pattern,
     mono_present,
@@ -40,7 +40,7 @@ from .patterns import (
     pattern_order,
     rainbow_present,
 )
-from .structure import CONTEXT_SHAPES, SHAPES
+from .structure import CONTEXTS, SHAPES
 
 #: color key marking a rainbow (rather than monochromatic) tracked pattern
 RAINBOW = 0
@@ -208,70 +208,19 @@ def _scan(
     return dfs(0)
 
 
-def _size_multisets(total: int, count: int, min_size: int):
-    """Ascending size tuples of ``count`` parts, each >= min_size, summing to total."""
-
-    def rec(remaining: int, parts_left: int, floor: int):
-        if parts_left == 1:
-            if remaining >= floor:
-                yield (remaining,)
-            return
-        for first in range(floor, remaining // parts_left + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, count, min_size)
-
-
-def _parts_counterexample(
-    n: int,
-    k: int,
-    part_sizes,
-    cross: dict[tuple[int, int], int],
-    internal: list[tuple[int, ...]],
-    target: PatternSpec,
-    surjective: bool,
-    budget: _Budget,
+def _rows_counterexample(
+    labels, n: int, k: int, target: PatternSpec, surjective: bool, budget: _Budget
 ) -> EdgeColoring | None:
-    """First member of a part family of K_n avoiding a monochromatic target.
-
-    Parts are consecutive vertex ranges, one split per entry of
-    ``part_sizes``; the edge between parts i < j is fixed to
-    ``cross[(i, j)]`` and an edge inside part i is colored from
-    ``internal[i]``.
-    """
+    """First member of K_n avoiding the target in every color, scanning the
+    ``structure.SHAPES`` rows in ``labels`` in turn, each allowed-colors list
+    of a row in the order its builder gives them."""
     tracked = [(c, target) for c in range(1, k + 1)]
-    for sizes in part_sizes:
-        where = [i for i, size in enumerate(sizes) for _ in range(size)]
-        allowed = [
-            internal[where[u]] if where[u] == where[v] else (cross[(where[u], where[v])],)
-            for u, v in pair_iter(n)
-        ]
-        got = _scan(n, k, allowed, tracked, surjective, budget)
-        if got is not None:
-            return got
+    for label in labels:
+        for allowed in SHAPES[label][0](n, k):
+            got = _scan(n, k, allowed, tracked, surjective, budget)
+            if got is not None:
+                return got
     return None
-
-
-def _bk_counterexample(
-    k: int, n: int, target: PatternSpec, surjective: bool, budget: _Budget
-) -> EdgeColoring | None:
-    """First bk member of K_n avoiding the target in every color."""
-    cross = {(i, j): 1 for i in range(k - 1) for j in range(i + 1, k - 1)}
-    internal = [(1, i + 2) for i in range(k - 1)]
-    return _parts_counterexample(
-        n, k, _size_multisets(n, k - 1, 2), cross, internal, target, surjective, budget
-    )
-
-
-def _t_counterexample(
-    n: int, target: PatternSpec, surjective: bool, budget: _Budget
-) -> EdgeColoring | None:
-    """First t member of K_n avoiding the target in every color."""
-    internal = [tuple(sorted(pair)) for pair in _T_INTERNAL]
-    return _parts_counterexample(
-        n, 3, _size_multisets(n, 3, 1), _T_CROSS, internal, target, surjective, budget
-    )
 
 
 def _threshold_scan(
@@ -353,7 +302,7 @@ def compute_bk(
     return _threshold_scan(
         f"bk(k={k}, {format_pattern(target)})",
         range(2 * (k - 1), max_n + 1),
-        lambda n, budget: _bk_counterexample(k, n, target, False, budget),
+        lambda n, budget: _rows_counterexample(("bk",), n, k, target, False, budget),
         node_budget,
         f"not forced by size {max_n}",
     )
@@ -370,7 +319,7 @@ def compute_t(
     return _threshold_scan(
         f"t({format_pattern(target)})",
         range(3, max_n + 1),
-        lambda n, budget: _t_counterexample(n, target, False, budget),
+        lambda n, budget: _rows_counterexample(("t",), n, 3, target, False, budget),
         node_budget,
         f"not forced by size {max_n}",
     )
@@ -458,38 +407,6 @@ def universal_check(
 # --- desk-scale Gallai-Ramsey verification -------------------------------------
 
 
-def _rainbow_context(pattern: PatternSpec) -> str:
-    if isinstance(pattern, Star) and pattern.leaves == 3:
-        return "k13"
-    if isinstance(pattern, Path) and pattern.order == 5:
-        return "p5"
-    if pattern == P4_PLUS:
-        return "p4plus"
-    raise CapabilityError(
-        f"no structure case list for rainbow {format_pattern(pattern)};"
-        " use full enumeration"
-    )
-
-
-def _structure_counterexample(
-    k: int, context: str, n: int, target: PatternSpec, budget: _Budget
-) -> EdgeColoring | None:
-    """First member of the context's rainbow-free case list without a mono target:
-    the bk family, then for k13 with k=3 the t family, then each exceptional
-    shape of the context in turn."""
-    cex = _bk_counterexample(k, n, target, True, budget)
-    if cex is None and context == "k13" and k == 3:
-        cex = _t_counterexample(n, target, True, budget)
-    tracked = [(c, target) for c in range(1, k + 1)]
-    for label in CONTEXT_SHAPES[context]:
-        if cex is not None:
-            break
-        allowed = SHAPES[label][0](n, k)
-        if allowed is not None:
-            cex = _scan(n, k, allowed, tracked, True, budget)
-    return cex
-
-
 def gr_desk_verify(
     k: int,
     rainbow: PatternSpec,
@@ -503,8 +420,8 @@ def gr_desk_verify(
 
     Full mode enumerates all surjective colorings.  Structure mode instead
     runs over the families that rainbow-free colorings are known to form
-    (the certificate is relative to that case list): the bk family plus the
-    context's exceptional shapes, and for rainbow stars with k=3 the t family.
+    (the certificate is relative to that case list): the rows that
+    ``structure.CONTEXTS`` lists for the rainbow pattern, in order.
     """
     quantity = (
         f"gr(k={k}, rainbow {format_pattern(rainbow)} : {format_pattern(target)}, n={n}, {mode})"
@@ -522,12 +439,18 @@ def gr_desk_verify(
         )
     if mode != "structure":
         raise DomainError("mode must be 'full' or 'structure'")
-    context = _rainbow_context(rainbow)
-    if context == "k13" and k < 3 or context != "k13" and k < 4:
-        raise DomainError(f"context {context} needs k >= {3 if context == 'k13' else 4}")
+    context = next((name for name, (p, _, _) in CONTEXTS.items() if p == rainbow), None)
+    if context is None:
+        raise CapabilityError(
+            f"no structure case list for rainbow {format_pattern(rainbow)};"
+            " use full enumeration"
+        )
+    _, least_k, labels = CONTEXTS[context]
+    if k < least_k:
+        raise DomainError(f"context {context} needs k >= {least_k}")
     return _check(
         quantity,
-        lambda budget: _structure_counterexample(k, context, n, target, budget),
+        lambda budget: _rows_counterexample(labels, n, k, target, True, budget),
         node_budget,
         notes=(f"relative to the rainbow-free case list for {format_pattern(rainbow)}",),
     )

@@ -6,6 +6,11 @@ a coloring without that rainbow pattern must take: the dominant-color form
 of small exceptional shapes built around at most four special vertices, and
 the g1/g2/g3 families.  "After renumbering the colors" is implemented as an
 explicit search over candidate dominant colors and color-role assignments.
+
+``CONTEXTS`` is the one place that knows a case list: for each rainbow
+context, its pattern, its least number of colors and its rows.  ``SHAPES``
+holds each row's allowed-colors builder, which the search engines scan, beside
+its matcher.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from itertools import combinations
 from .coloring import EdgeColoring, pair_iter
 from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL, g2_coloring, g3_coloring
 from .errors import DomainError
-from .patterns import _bits
+from .patterns import P4_PLUS, Path, Star, _bits
 
 # case labels, in the order classification attempts them
 CASE_DOMINANT = "dominant"
@@ -160,32 +165,30 @@ def _match_matched_quad(coloring: EdgeColoring) -> FamilyDescriptor | None:
                 continue
             # determine a,b,c,d: c3 = {ac, bd}, c4 = {ad, bc}; c2 holds ab (+ cd)
             a = quad[0]
-            c3_partner = next(v for e in class_edges[c3] for v in e if a in e and v != a)
-            c4_partner = next(v for e in class_edges[c4] for v in e if a in e and v != a)
-            b = next(v for v in quad if v not in (a, c3_partner, c4_partner))
-            cc, d = c3_partner, c4_partner
-            ab = (min(a, b), max(a, b))
-            cd = (min(cc, d), max(cc, d))
-            c2 = coloring.color_of(*ab)
-            if c2 in (c3, c4):
-                continue
-            e2set = set(class_edges[c2])
-            if not ({ab} <= e2set <= {ab, cd}):
-                continue
-            remaining = [
-                x for x, es in class_edges.items() if es and x not in (c2, c3, c4)
-            ]
-            if len(remaining) != 1:
-                continue
-            c1 = remaining[0]
-            special_edges = {ab, cd} | set(class_edges[c3]) | set(class_edges[c4])
-            ok = all(
-                (min(u, v), max(u, v)) in special_edges
-                or coloring.color_of(u, v) == c1
-                for u, v in pair_iter(n)
-            )
-            if ok:
-                return FamilyDescriptor("matched-quad", n, special=(a, b, cc, d))
+            cc = next(v for e in class_edges[c3] for v in e if a in e and v != a)
+            d = next(v for e in class_edges[c4] for v in e if a in e and v != a)
+            b = next(v for v in quad if v not in (a, cc, d))
+            # the singleton-color edge is ab or cd; swapping the pairs keeps c3, c4
+            for a, b, cc, d in ((a, b, cc, d), (cc, d, a, b)):
+                ab = (min(a, b), max(a, b))
+                cd = (min(cc, d), max(cc, d))
+                c2 = coloring.color_of(*ab)
+                if c2 in (c3, c4):
+                    continue
+                if not ({ab} <= set(class_edges[c2]) <= {ab, cd}):
+                    continue
+                remaining = [x for x, es in class_edges.items() if es and x not in (c2, c3, c4)]
+                if len(remaining) != 1:
+                    continue
+                c1 = remaining[0]
+                special_edges = {ab, cd} | set(class_edges[c3]) | set(class_edges[c4])
+                ok = all(
+                    (min(u, v), max(u, v)) in special_edges
+                    or coloring.color_of(u, v) == c1
+                    for u, v in pair_iter(n)
+                )
+                if ok:
+                    return FamilyDescriptor("matched-quad", n, special=(a, b, cc, d))
     return None
 
 
@@ -363,12 +366,54 @@ def _g3_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
     return FamilyDescriptor("g3", n, special=(a, b, c))
 
 
-# --- the exceptional shapes as searchable families ------------------------------
+# --- the case-list rows as searchable families -----------------------------------
 #
-# A builder gives, for K_n with k colors, one tuple of allowed colors per edge
-# in pair_rank order (a 1-tuple fixes the edge), or None when the shape has no
-# exact k-coloring member at that size.  The members are the surjective
-# colorings the tuples allow; the matcher recognizes each of them.
+# A builder gives, for K_n with k colors, zero or more lists of allowed colors,
+# one tuple per edge in pair_rank order (a 1-tuple fixes the edge).  The
+# members of a row are the colorings its lists allow (the surjective ones in
+# structure mode); the matcher recognizes each of them.
+
+
+def _size_multisets(total: int, count: int, min_size: int):
+    """Ascending size tuples of ``count`` parts, each >= min_size, summing to total."""
+
+    def rec(remaining: int, parts_left: int, floor: int):
+        if parts_left == 1:
+            if remaining >= floor:
+                yield (remaining,)
+            return
+        for first in range(floor, remaining // parts_left + 1):
+            for rest in rec(remaining - first, parts_left - 1, first):
+                yield (first,) + rest
+
+    yield from rec(total, count, min_size)
+
+
+def _parts_allowed(n: int, count: int, min_size: int, cross, internal):
+    """One list per part-size multiset: parts are consecutive vertex ranges,
+    the edge between parts i < j is fixed to ``cross[(i, j)]`` and an edge
+    inside part i is colored from ``internal[i]``."""
+    for sizes in _size_multisets(n, count, min_size):
+        where = [i for i, size in enumerate(sizes) for _ in range(size)]
+        yield [
+            internal[where[u]] if where[u] == where[v] else (cross[(where[u], where[v])],)
+            for u, v in pair_iter(n)
+        ]
+
+
+def _bk_allowed(n: int, k: int):
+    """k-1 parts of at least two vertices, color 1 across, part i from (1, i+2)."""
+    cross = {(i, j): 1 for i in range(k - 1) for j in range(i + 1, k - 1)}
+    internal = [(1, i + 2) for i in range(k - 1)]
+    return _parts_allowed(n, k - 1, 2, cross, internal)
+
+
+def _t_allowed(n: int, k: int):
+    """Three nonempty parts with the t family's cross and internal colors (k = 3 only)."""
+    if k != 3:
+        return
+    internal = [tuple(sorted(pair)) for pair in _T_INTERNAL]
+    yield from _parts_allowed(n, 3, 1, _T_CROSS, internal)
 
 
 def _color1_except(n: int, special: dict[tuple[int, int], tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -379,31 +424,31 @@ def _color1_except(n: int, special: dict[tuple[int, int], tuple[int, ...]]) -> l
 def _clique_plus_vertex_allowed(n: int, k: int):
     """All but the last vertex induce color 1; the last vertex's edges are free."""
     last = tuple(range(1, k + 1))
-    return [last if v == n - 1 else (1,) for _, v in pair_iter(n)]
+    yield [last if v == n - 1 else (1,) for _, v in pair_iter(n)]
 
 
 def _hub_triple_allowed(n: int, k: int):
     """E2={ab}, E3={ac}, E4 = {bc} + a subset of a's other edges, on a,b,c = 0,1,2."""
     if k != 4 or n < 4:
-        return None
+        return
     special = {(0, 1): (2,), (0, 2): (3,), (1, 2): (4,)}
     special.update({(0, j): (1, 4) for j in range(3, n)})
-    return _color1_except(n, special)
+    yield _color1_except(n, special)
 
 
 def _matched_quad_allowed(n: int, k: int):
     """Special vertices 0..3; the color-2 class is {01} or {01, 23}."""
     if k != 4 or n < 5:
-        return None  # color 1 would be empty, so never an exact 4-coloring
-    return _color1_except(
+        return  # color 1 would be empty, so never an exact 4-coloring
+    yield _color1_except(
         n, {(0, 1): (2,), (2, 3): (1, 2), (0, 2): (3,), (1, 3): (3,), (0, 3): (4,), (1, 2): (4,)}
     )
 
 
 def _sporadic_5_allowed(n: int, k: int):
     if k != 4 or n != 5:
-        return None
-    return _color1_except(5, {
+        return
+    yield _color1_except(5, {
         (0, 2): (2,), (1, 3): (2,), (1, 4): (2,),
         (0, 1): (3,), (2, 3): (3,), (2, 4): (3,),
         (3, 4): (4,),
@@ -414,15 +459,16 @@ def _fixed_allowed(build):
     """Builder for a shape with one member per size n >= 4 (k = 4 only)."""
 
     def allowed(n: int, k: int):
-        if k != 4 or n < 4:
-            return None
-        return [(c,) for c in build(n).colors]
+        if k == 4 and n >= 4:
+            yield [(c,) for c in build(n).colors]
 
     return allowed
 
 
 # label -> (allowed-colors builder, matcher)
 SHAPES = {
+    "bk": (_bk_allowed, lambda coloring: is_member(coloring, "bk")),
+    "t": (_t_allowed, lambda coloring: is_member(coloring, "t")),
     CASE_CLIQUE_PLUS_VERTEX: (_clique_plus_vertex_allowed, _match_clique_plus_vertex),
     CASE_HUB_TRIPLE: (_hub_triple_allowed, _match_hub_triple),
     CASE_MATCHED_QUAD: (_matched_quad_allowed, _match_matched_quad),
@@ -431,12 +477,15 @@ SHAPES = {
     CASE_G3: (_fixed_allowed(g3_coloring), _g3_descriptor),
 }
 
-# exceptional shapes in each rainbow context's case list, beyond the bk
-# family (the k13 context adds the t family instead)
-CONTEXT_SHAPES = {
-    "p5": (CASE_CLIQUE_PLUS_VERTEX, CASE_HUB_TRIPLE, CASE_MATCHED_QUAD, CASE_SPORADIC_5),
-    "p4plus": (CASE_G2, CASE_G3),
-    "k13": (),
+# context -> (rainbow pattern, least k, its case list as SHAPES rows in scan order)
+CONTEXTS = {
+    "p5": (
+        Path(5),
+        4,
+        ("bk", CASE_CLIQUE_PLUS_VERTEX, CASE_HUB_TRIPLE, CASE_MATCHED_QUAD, CASE_SPORADIC_5),
+    ),
+    "k13": (Star(3), 3, ("bk", "t")),
+    "p4plus": (P4_PLUS, 4, ("bk", CASE_G2, CASE_G3)),
 }
 
 
@@ -464,10 +513,10 @@ def classify_structure(
     ``rainbow_context`` is one of ``p5``, ``k13``, ``p4plus``.  Returns the
     first matching case with its descriptor, else (``unclassified``, None).
     """
-    if rainbow_context not in ("p5", "k13", "p4plus"):
+    if rainbow_context not in CONTEXTS:
         raise DomainError(f"unknown rainbow context {rainbow_context!r}")
     k_used = len(coloring.colors_used())
-    minimum = 3 if rainbow_context == "k13" else 4
+    _, minimum, rows = CONTEXTS[rainbow_context]
     if k_used < minimum:
         raise DomainError(
             f"context {rainbow_context} needs at least {minimum} colors in use, got {k_used}"
@@ -476,7 +525,8 @@ def classify_structure(
     if d is not None:
         return CASE_DOMINANT, d
     if rainbow_context == "p5":
-        for label in CONTEXT_SHAPES["p5"]:
+        # the bk row never matches here: its members are dominant
+        for label in rows:
             got = SHAPES[label][1](coloring)
             if got is not None:
                 return label, got

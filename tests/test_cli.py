@@ -275,8 +275,8 @@ def test_selftest_catches_a_broken_path_search(monkeypatch, capsys):
 
     real = patterns.longest_path_order
 
-    def broken(n, adj, stop_at=None):
-        value = real(n, adj, stop_at)
+    def broken(n, adj):
+        value = real(n, adj)
         return value - 1 if value > 1 else value
 
     monkeypatch.setattr(patterns, "longest_path_order", broken)

@@ -273,6 +273,21 @@ def test_node_counts_and_witnesses_are_pinned():
     assert not rep.holds and rep.nodes_explored == 19
     assert rep.counterexample.colors == (1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 3, 4)
 
+    # each context scans its case-list rows in a fixed order
+    rep = gr_desk_verify(4, P4_PLUS, Path(6), 7, mode="structure")
+    assert not rep.holds and rep.nodes_explored == 5
+    assert rep.counterexample.colors == (
+        2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    )
+    rep = gr_desk_verify(3, Star(3), Path(5), 6, mode="structure")
+    assert not rep.holds and rep.nodes_explored == 23
+    assert rep.counterexample.colors == (1, 1, 1, 3, 3, 1, 1, 3, 3, 1, 2, 2, 2, 2, 2)
+    rep = gr_desk_verify(5, Path(5), Path(7), 7, mode="structure")
+    assert not rep.holds and rep.nodes_explored == 54
+    assert rep.counterexample.colors == (
+        1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 3, 1, 4, 5,
+    )
+
 
 def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
     from ramseykit import search

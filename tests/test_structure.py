@@ -11,7 +11,7 @@ from ramseykit.constructions import (
     witness_t_path,
 )
 from ramseykit.errors import DomainError
-from ramseykit.patterns import Star, has_rainbow
+from ramseykit.patterns import Path, Star, has_rainbow
 from ramseykit.structure import (
     CASE_CLIQUE_PLUS_VERTEX,
     CASE_DOMINANT,
@@ -21,7 +21,7 @@ from ramseykit.structure import (
     CASE_HUB_TRIPLE,
     CASE_MATCHED_QUAD,
     CASE_SPORADIC_5,
-    CONTEXT_SHAPES,
+    CONTEXTS,
     SHAPES,
     UNCLASSIFIED,
     classify_structure,
@@ -33,14 +33,24 @@ from ramseykit.structure import (
 
 def _members(label, n, k=4):
     """Every exact k-coloring of K_n that a shape row allows."""
-    allowed = SHAPES[label][0](n, k)
-    if allowed is None:
-        return []
     return [
         EdgeColoring(n, k, colors, exact_flag=True)
+        for allowed in SHAPES[label][0](n, k)
         for colors in itertools.product(*allowed)
         if set(colors) == set(range(1, k + 1))
     ]
+
+
+def _relabel(coloring, perm):
+    """The coloring with vertex v renamed perm[v]."""
+    return EdgeColoring.from_pairs(
+        coloring.n_vertices,
+        coloring.n_colors,
+        {
+            (min(perm[u], perm[v]), max(perm[u], perm[v])): coloring.color_of(u, v)
+            for u, v in pair_iter(coloring.n_vertices)
+        },
+    )
 
 
 def _coloring(n, k, special, default=1, exact=None):
@@ -211,16 +221,34 @@ def test_star_forest_on_every_exceptional_member():
 
 
 def test_shape_table_round_trip():
-    # every member a shape row generates classifies under that row's label
-    for context, labels in CONTEXT_SHAPES.items():
+    # every member of every row, at its context's least k, is accepted by the
+    # row's own matcher; an exceptional shape's member also classifies under
+    # the row's label
+    for context, (_, k, labels) in CONTEXTS.items():
         for label in labels:
             seen = 0
-            for n in range(5, 8):
-                for coloring in _members(label, n):
-                    got, _ = classify_structure(coloring, context)
-                    assert got == label, (label, coloring.colors)
+            for n in range(2, 8):
+                for coloring in _members(label, n, k):
+                    assert SHAPES[label][1](coloring) is not None, (label, coloring.colors)
+                    if label not in ("bk", "t"):
+                        got, _ = classify_structure(coloring, context)
+                        assert got == label, (label, coloring.colors)
                     seen += 1
-            assert seen, label
+            assert seen, (context, label)
+
+
+def test_matched_quad_label_survives_relabelling():
+    # the singleton-color edge on the pair that avoids the first quad vertex
+    opposite = EdgeColoring(5, 4, [1, 1, 1, 1, 1, 2, 3, 3, 2, 4])
+    assert has_rainbow(opposite, Path(5)) is None
+    label, d = classify_structure(opposite, "p5")
+    assert label == CASE_MATCHED_QUAD and d.special == (3, 4, 1, 2)
+    members = [opposite] + _members(CASE_MATCHED_QUAD, 5) + _members(CASE_MATCHED_QUAD, 6)
+    assert len(members) == 5
+    for coloring in members:
+        for perm in itertools.permutations(range(coloring.n_vertices)):
+            got, _ = classify_structure(_relabel(coloring, perm), "p5")
+            assert got == CASE_MATCHED_QUAD, (coloring.colors, perm)
 
 
 def test_multipartite_ham_examples():
