@@ -35,18 +35,30 @@ class CriterionResult:
     seconds: float
 
 
-def _crit_ramsey_paths(seed: int) -> tuple[bool, str]:
-    cases = [((3, 3), 3), ((4, 3), 4), ((4, 4), 5), ((5, 4), 6)]
+def _thresholds(cases, limit: float, cite: bool = False) -> tuple[bool, str]:
+    """Run each (label, value, search, *args) case in turn, stopping at the
+    first whose result is not exactly the value or takes ``limit`` seconds;
+    ``cite`` shows the value as the formula's."""
     details = []
-    for (a, b), want in cases:
+    for label, want, run, *run_args in cases:
         t0 = time.monotonic()
-        rep = search.brute_force_ramsey(Path(a), Path(b), 6)
+        rep = run(*run_args)
         dt = time.monotonic() - t0
-        ok = rep.value.exact and rep.value.value == want and dt < 10.0
-        details.append(f"r(P{a},P{b})={rep.value.lo} [{dt:.2f}s]")
+        ok = rep.value.exact and rep.value.value == want and dt < limit
+        formula = f" (formula {want})" if cite else ""
+        details.append(f"{label}={rep.value.lo}{formula} [{dt:.2f}s]")
         if not ok:
             return False, "; ".join(details)
     return True, "; ".join(details)
+
+
+def _crit_ramsey_paths(seed: int) -> tuple[bool, str]:
+    cases = [((3, 3), 3), ((4, 3), 4), ((4, 4), 5), ((5, 4), 6)]
+    return _thresholds(
+        [(f"r(P{a},P{b})", want, search.brute_force_ramsey, Path(a), Path(b), 6)
+         for (a, b), want in cases],
+        10.0,
+    )
 
 
 def _crit_kipas_linear(seed: int) -> tuple[bool, str]:
@@ -66,45 +78,30 @@ def _crit_kipas_linear(seed: int) -> tuple[bool, str]:
 
 def _crit_forced_blue_forests(seed: int) -> tuple[bool, str]:
     t0 = time.monotonic()
-    a1 = search.universal_check(
-        6, [(1, Kipas(5))], [(2, LinearForestExact((2, 2))), (2, Path(3))]
-    )
-    a2 = search.universal_check(
-        7,
-        [(1, Kipas(5))],
-        [(2, LinearForestExact((3, 3))), (2, Path(5)), (2, LinearForestExact((2, 4)))],
-    )
+    holds = {
+        5 + extra: search.universal_check(5 + extra, [(1, Kipas(5))], required).holds
+        for extra, _, required in search.LEMMA_31.values()
+    }
     dt = time.monotonic() - t0
-    ok = a1.holds and a2.holds and dt < 60.0
-    return ok, f"K_6 holds={a1.holds}, K_7 holds={a2.holds} [{dt:.2f}s combined]"
+    detail = ", ".join(f"K_{n} holds={h}" for n, h in holds.items())
+    return all(holds.values()) and dt < 60.0, f"{detail} [{dt:.2f}s combined]"
 
 
 def _crit_t_thresholds(seed: int) -> tuple[bool, str]:
-    details = []
-    for order in (3, 4, 5):
-        t0 = time.monotonic()
-        rep = search.compute_t(Path(order), 9)
-        dt = time.monotonic() - t0
-        want = formulas.t_path(order).value
-        ok = rep.value.exact and rep.value.value == want and dt < 60.0
-        details.append(f"t(P{order})={rep.value.lo} (formula {want}) [{dt:.2f}s]")
-        if not ok:
-            return False, "; ".join(details)
-    return True, "; ".join(details)
+    return _thresholds(
+        [(f"t(P{n})", formulas.t_path(n).value, search.compute_t, Path(n), 9) for n in (3, 4, 5)],
+        60.0,
+        cite=True,
+    )
 
 
 def _crit_bk_thresholds(seed: int) -> tuple[bool, str]:
-    details = []
-    for order, max_n in ((4, 8), (6, 10)):
-        t0 = time.monotonic()
-        rep = search.compute_bk(3, Path(order), max_n)
-        dt = time.monotonic() - t0
-        want = formulas.bk_path(3, order).value
-        ok = rep.value.exact and rep.value.value == want and dt < 300.0
-        details.append(f"b3(P{order})={rep.value.lo} (formula {want}) [{dt:.2f}s]")
-        if not ok:
-            return False, "; ".join(details)
-    return True, "; ".join(details)
+    return _thresholds(
+        [(f"b3(P{n})", formulas.bk_path(3, n).value, search.compute_bk, 3, Path(n), max_n)
+         for n, max_n in ((4, 8), (6, 10))],
+        300.0,
+        cite=True,
+    )
 
 
 def _witness_cases():

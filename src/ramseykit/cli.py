@@ -25,9 +25,7 @@ from .coloring import (
 from .errors import BudgetExceeded, CapabilityError, RamseykitError
 from .patterns import (
     Kipas,
-    LinearForestExact,
     LinearForestMin,
-    Path,
     parse_pattern,
 )
 
@@ -136,11 +134,22 @@ def _detect(args, coloring: EdgeColoring, mode: str, pattern: patterns.PatternSp
 
 
 def _parse_parts(text: str) -> list[int]:
-    return [int(p) for p in text.split(",")]
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise RamseykitError(f"--parts takes comma-separated sizes, got {text!r}") from None
+
+
+# families whose size comes from --n
+_SIZED = (
+    "g2", "g3", "bk-path-witness", "t-path-witness", "b3-kipas-witness", "kipas-linear-witness",
+)
 
 
 def _cmd_generate(args) -> int:
     fam = args.family
+    if fam in _SIZED and args.n is None:
+        raise RamseykitError(f"family {fam} needs --n")
     if fam in ("bk", "t", "g1"):
         if not args.parts:
             raise RamseykitError(f"family {fam} needs --parts SIZES (e.g. --parts 2,3)")
@@ -227,21 +236,11 @@ def _cmd_formula(args) -> int:
             f"unknown formula {args.id!r}; known: {', '.join(sorted(formulas.FORMULAS))}"
         )
     fn, params = formulas.FORMULAS[args.id]
-    supplied = {
-        "k": args.k,
-        "n": args.n,
-        "m": args.m,
-        "min_component": args.min_component,
-        "size1": args.size1,
-        "odd1": args.odd1,
-        "size2": args.size2,
-        "odd2": args.odd2,
-    }
     kwargs = {}
     for name in params:
-        if supplied.get(name) is None:
+        if getattr(args, name) is None:
             raise RamseykitError(f"formula {args.id} needs --{name.replace('_', '-')}")
-        kwargs[name] = supplied[name]
+        kwargs[name] = getattr(args, name)
     if args.id == "path-star" and args.trust_exact:
         kwargs["trust_exact"] = True
     result = fn(**kwargs)
@@ -249,27 +248,12 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-_CHECKS_31 = {
-    "3.1i": (
-        lambda n: (n + 1, [(2, LinearForestExact((2, 2))), (2, Path(3))]),
-        4,
-    ),
-    "3.1ii": (
-        lambda n: (
-            n + 2,
-            [(2, LinearForestExact((3, 3))), (2, Path(5)), (2, LinearForestExact((2, 4)))],
-        ),
-        5,
-    ),
-}
-
-
 def _cmd_check(args) -> int:
-    if args.lemma in _CHECKS_31:
-        build, min_n = _CHECKS_31[args.lemma]
+    if args.lemma in search.LEMMA_31:
+        extra, min_n, required = search.LEMMA_31[args.lemma]
         if args.n < min_n:
             raise RamseykitError(f"check {args.lemma} needs --n >= {min_n}")
-        size, required = build(args.n)
+        size = args.n + extra
         try:
             rep = search.universal_check(size, [(1, Kipas(args.n))], required)
         except CapabilityError as err:

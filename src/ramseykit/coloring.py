@@ -196,18 +196,6 @@ class ColorClass:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        row = self.adj[v]
-        while row:
-            b = row & -row
-            out.append(b.bit_length() - 1)
-            row ^= b
-        return out
-
 
 def colors_used(coloring: EdgeColoring) -> frozenset[int]:
     return coloring.colors_used()

@@ -36,9 +36,8 @@ class FamilyDescriptor:
     parts: tuple[tuple[int, ...], ...] | None = None
     internal_choices: dict[tuple[int, int], int] | None = None
     special: tuple[int, ...] | None = None
-    # classification extras for the dominant-color form
+    # classification extra for the dominant-color form
     dominant_color: int | None = None
-    part_colors: tuple[int, ...] | None = None
 
 
 # internal color pairs per part for the three-part families

@@ -30,7 +30,9 @@ from .errors import BudgetExceeded, CapabilityError, DomainError
 from .formulas import UNBOUNDED, ValueOrInterval, exact, interval
 from .patterns import (
     Kipas,
+    LinearForestExact,
     LinearForestMin,
+    Path,
     PatternSpec,
     forest_min_edges_exists,
     format_pattern,
@@ -378,6 +380,19 @@ def _check(quantity: str, find, node_budget: int, notes: tuple[str, ...] = ()) -
     )
 
 
+# Lemma 3.1: for n >= least n, every 2-coloring of K_{n + extra} without a
+# red kipas of path order n holds one of the blue forests.
+# lemma -> (extra vertices, least n, required (color, pattern) list)
+LEMMA_31 = {
+    "3.1i": (1, 4, [(2, LinearForestExact((2, 2))), (2, Path(3))]),
+    "3.1ii": (
+        2,
+        5,
+        [(2, LinearForestExact((3, 3))), (2, Path(5)), (2, LinearForestExact((2, 4)))],
+    ),
+}
+
+
 def universal_check(
     n: int,
     forbidden: list[tuple[int, PatternSpec]],
@@ -448,6 +463,12 @@ def gr_desk_verify(
     _, least_k, labels = CONTEXTS[context]
     if k < least_k:
         raise DomainError(f"context {context} needs k >= {least_k}")
+    if n < pattern_order(rainbow):
+        # no coloring of K_n holds the pattern, so the case list does not apply
+        raise CapabilityError(
+            f"the {context} case list starts at N = {pattern_order(rainbow)};"
+            " use full enumeration (--mode full)"
+        )
     return _check(
         quantity,
         lambda budget: _rows_counterexample(labels, n, k, target, True, budget),

@@ -15,7 +15,7 @@ its matcher.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .coloring import EdgeColoring, pair_iter
 from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL, g2_coloring, g3_coloring
@@ -88,7 +88,6 @@ def dominant_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
                 coloring.n_vertices,
                 parts=tuple(tuple(p) for p in parts),
                 dominant_color=dominant,
-                part_colors=tuple(c for c in range(1, coloring.n_colors + 1) if c != dominant),
             )
     return None
 
@@ -231,60 +230,25 @@ def three_part_descriptor(
     """Find a three-part split with the fixed cross colors 1/2/3.
 
     Part i may only touch colors from its internal pair, so each vertex's
-    allowed parts follow from the colors incident to it; the remaining
-    freedom is searched exhaustively with pairwise consistency pruning.
+    allowed parts follow from the colors incident to it.  Every choice of
+    allowed parts is then a split: an edge inside part i has a color of its
+    pair, and an edge between two parts the one color both pairs hold, their
+    cross color.  The first choice in lexicographic order that leaves at
+    most ``allow_empty`` parts empty is returned.
     """
     n = coloring.n_vertices
     sup = _supports(coloring)
     if any(c > 3 for c in sup):
         return None
-    # part i excluded for vertices meeting the color that avoids part i
-    missing_color = {0: 2, 1: 3, 2: 1}  # part index -> color its vertices never meet
     allowed = []
     for v in range(n):
-        opts = []
-        for p in range(3):
-            c = missing_color[p]
-            if not (sup.get(c, 0) >> v) & 1:
-                opts.append(p)
-        if not opts:
-            return None
-        allowed.append(opts)
-
-    assign = [-1] * n
-
-    def consistent(v: int, p: int) -> bool:
-        for u in range(v):
-            pu = assign[u]
-            c = coloring.color_of(u, v)
-            if pu == p:
-                if c not in _T_INTERNAL[p]:
-                    return False
-            else:
-                if c != _T_CROSS[(min(pu, p), max(pu, p))]:
-                    return False
-        return True
-
-    def solve(v: int):
-        if v == n:
-            empty = 3 - len(set(assign))
-            return tuple(assign) if empty <= allow_empty else None
-        for p in allowed[v]:
-            if consistent(v, p):
-                assign[v] = p
-                got = solve(v + 1)
-                if got:
-                    return got
-                assign[v] = -1
-        return None
-
-    got = solve(0)
-    if got is None:
-        return None
-    parts = tuple(tuple(v for v in range(n) if got[v] == p) for p in range(3))
-    return FamilyDescriptor(
-        "t" if all(parts) else "g1", n, parts=parts
-    )
+        met = {c for c, mask in sup.items() if (mask >> v) & 1}
+        allowed.append([p for p, pair in enumerate(_T_INTERNAL) if met <= pair])
+    for assign in product(*allowed):
+        if 3 - len(set(assign)) <= allow_empty:
+            parts = tuple(tuple(v for v in range(n) if assign[v] == p) for p in range(3))
+            return FamilyDescriptor("t" if all(parts) else "g1", n, parts=parts)
+    return None
 
 
 def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) -> FamilyDescriptor | None:
@@ -315,6 +279,7 @@ def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) 
 
 
 def _g2_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """g2 with (x, y) the single color-2 edge, in either order."""
     n = coloring.n_vertices
     if coloring.n_colors < 4 or n < 3:
         return None
@@ -322,47 +287,26 @@ def _g2_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
     if len(two) != 1:
         return None
     for x, y in (two[0], two[0][::-1]):
-        ok = True
-        for u, v in pair_iter(n):
-            c = coloring.color_of(u, v)
-            if {u, v} == {x, y}:
-                want = 2
-            elif x in (u, v):
-                want = 3
-            elif y in (u, v):
-                want = 4
-            else:
-                want = 1
-            if c != want:
-                ok = False
-                break
-        if ok:
+        if coloring.colors == g2_coloring(n, x, y).colors:
             return FamilyDescriptor("g2", n, special=(x, y))
     return None
 
 
 def _g3_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """g3 with ab and bc the single color-2 and color-3 edges."""
     n = coloring.n_vertices
     if coloring.n_colors < 4 or n < 3:
         return None
-    classes = {c: coloring.color_class(c).edges() for c in (2, 3, 4)}
-    if any(len(es) != 1 for es in classes.values()):
+    ab, bc = coloring.color_class(2).edges(), coloring.color_class(3).edges()
+    if len(ab) != 1 or len(bc) != 1:
         return None
-    ab, bc, ac = classes[2][0], classes[3][0], classes[4][0]
-    verts = set(ab) | set(bc) | set(ac)
-    if len(verts) != 3:
+    shared = set(ab[0]) & set(bc[0])
+    if len(shared) != 1:
         return None
-    a = (set(ab) & set(ac)).pop() if set(ab) & set(ac) else None
-    b = (set(ab) & set(bc)).pop() if set(ab) & set(bc) else None
-    c = (set(bc) & set(ac)).pop() if set(bc) & set(ac) else None
-    if a is None or b is None or c is None or len({a, b, c}) != 3:
+    (b,) = shared
+    a, c = sum(ab[0]) - b, sum(bc[0]) - b  # the other ends
+    if coloring.colors != g3_coloring(n, a, b, c).colors:
         return None
-    special = {tuple(sorted(ab)), tuple(sorted(bc)), tuple(sorted(ac))}
-    for u, v in pair_iter(n):
-        if (u, v) in special:
-            continue
-        if coloring.color_of(u, v) != 1:
-            return None
     return FamilyDescriptor("g3", n, special=(a, b, c))
 
 
@@ -491,8 +435,6 @@ CONTEXTS = {
 
 def _color_permutations(coloring: EdgeColoring, target_k: int):
     """Colorings obtained by renumbering the used colors onto 1..target_k."""
-    from itertools import permutations
-
     used = sorted(coloring.colors_used())
     if len(used) > target_k:
         return
@@ -512,6 +454,22 @@ def classify_structure(
 
     ``rainbow_context`` is one of ``p5``, ``k13``, ``p4plus``.  Returns the
     first matching case with its descriptor, else (``unclassified``, None).
+
+    The dominant-color form comes first in every context; it is the ``bk``
+    row under any color names.  Then each context tries:
+
+    * ``p5``: its ``CONTEXTS`` rows after ``bk``, whose matchers take any
+      color names.
+    * ``k13``: g1 after renumbering the colors, where ``CONTEXTS`` has the
+      ``t`` row.  The search tracks the target in every color, so one
+      naming of each t member suffices there; a coloring to classify comes
+      in any naming, and g1's empty part adds nothing the dominant form
+      misses.
+    * ``p4plus``: g2, then g3, after renumbering, then clique-plus-vertex,
+      which ``CONTEXTS`` leaves out.  Its members are free of a rainbow
+      P_4^+ only on K_4: none of the 6 exact ones there holds one, while all
+      60 on K_5 and all 390 on K_6 do.  Structure mode starts at K_5, the
+      pattern's order, where the row would only add colorings that hold one.
     """
     if rainbow_context not in CONTEXTS:
         raise DomainError(f"unknown rainbow context {rainbow_context!r}")
@@ -553,7 +511,11 @@ def classify_structure(
 
 
 def star_forest_check(coloring: EdgeColoring, c: int) -> bool:
-    """True iff color class c is a disjoint union of stars."""
+    """True iff color class c is a disjoint union of stars.
+
+    Every neighbor of a vertex of degree >= 2 must be a leaf; a path with
+    three edges breaks that at an inner vertex, a triangle at every vertex.
+    """
     adj = coloring.adjacency(c)
     n = coloring.n_vertices
     for u in range(n):
@@ -562,11 +524,6 @@ def star_forest_check(coloring: EdgeColoring, c: int) -> bool:
         # a branching vertex: all its neighbors must be leaves
         for v in _bits(adj[u]):
             if adj[v] != (1 << u):
-                return False
-    # exclude triangles among degree-issues: a triangle has all degrees 2
-    for u in range(n):
-        for v in _bits(adj[u]):
-            if v > u and adj[u] & adj[v]:
                 return False
     return True
 

@@ -68,6 +68,19 @@ def test_generate_parts_families(tmp_path, capsys):
     assert main(["generate", "--family", "bk"]) == 2  # missing --parts
 
 
+def test_generate_reports_missing_or_malformed_arguments(capsys):
+    sized = ["g2", "g3", "bk-path-witness", "t-path-witness", "b3-kipas-witness",
+             "kipas-linear-witness"]
+    for family in sized:
+        assert main(["generate", "--family", family]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: family {family} needs --n\n"
+    for family in ("bk", "t", "g1"):
+        assert main(["generate", "--family", family, "--parts", "2,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --parts takes comma-separated sizes, got '2,x'\n"
+
+
 def test_compute_command(tmp_path, capsys):
     witness = tmp_path / "ext.ecg"
     code = main(
@@ -103,6 +116,12 @@ def test_check_command(tmp_path, capsys):
     assert "not a proof" in out
     assert main(["check", "--lemma", "3.2", "--n", "12", "--a", "2", "--samples", "10"]) == 2
     assert main(["check", "--lemma", "9.9", "--n", "5"]) == 2
+    # below the least n of Lemma 3.1
+    assert main(["check", "--lemma", "3.1i", "--n", "3"]) == 2
+    assert main(["check", "--lemma", "3.1ii", "--n", "4"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "error: check 3.1i needs --n >= 4", "error: check 3.1ii needs --n >= 5",
+    ]
 
 
 def test_grverify_command(tmp_path, capsys):
@@ -117,6 +136,14 @@ def test_grverify_command(tmp_path, capsys):
     assert code == 1
     assert read_coloring_file(witness).n_vertices == 6
     assert main(["grverify", "--k", "3", "--rainbow", "k13", "--target", "path:4", "--N", "5", "--mode", "full"]) == 0
+    # below the pattern order the case list does not apply
+    capsys.readouterr()
+    argv = ["grverify", "--k", "4", "--rainbow", "p5", "--target", "path:3", "--N", "4"]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "the p5 case list starts at N = 5; use full enumeration (--mode full)"
+    }
+    assert main(argv + ["--mode", "full"]) == 1
 
 
 def test_budget_aborts_emit_json(capsys):

@@ -232,6 +232,29 @@ def test_gr_modes_agree_where_both_are_feasible():
     assert gr_desk_verify(3, Star(3), Path(5), 7, mode="structure").holds
 
 
+def test_gr_structure_mode_refuses_below_the_pattern_order():
+    # K_4 has no 5-vertex rainbow pattern, so the case list misses colorings
+    # like (1,2,3,3,2,4), which full mode finds
+    for rainbow in (Path(5), P4_PLUS):
+        cex = gr_desk_verify(4, rainbow, Path(3), 4, mode="full").counterexample
+        assert cex is not None and cex.colors == (1, 2, 3, 3, 2, 4)
+        for n in (1, 4):
+            with pytest.raises(CapabilityError, match="--mode full") as err:
+                gr_desk_verify(4, rainbow, Path(3), n, mode="structure")
+            assert type(err.value) is CapabilityError and err.value.partial is None
+    with pytest.raises(CapabilityError, match="starts at N = 4"):
+        gr_desk_verify(3, Star(3), Path(4), 3, mode="structure")
+
+
+def test_randomized_refutation_returns_a_checked_counterexample():
+    from ramseykit.naive import naive_has_mono, naive_max_linear_forest
+
+    cex = randomized_kipas_forest_refutation(4, 2, 300, 0)
+    assert cex is not None and cex.n_vertices == 6 and cex.n_colors == 2
+    assert not naive_has_mono(cex, 1, Kipas(4))
+    assert naive_max_linear_forest(cex, 2, 3) < 4
+
+
 def test_randomized_refutation_finds_nothing_at_the_smallest_instance():
     assert randomized_kipas_forest_refutation(12, 3, 2000, seed=0) is None
     assert randomized_kipas_forest_refutation(12, 3, 500, seed=7) is None

@@ -11,7 +11,7 @@ from ramseykit.constructions import (
     witness_t_path,
 )
 from ramseykit.errors import DomainError
-from ramseykit.patterns import Path, Star, has_rainbow
+from ramseykit.patterns import P4_PLUS, Path, Star, has_rainbow
 from ramseykit.structure import (
     CASE_CLIQUE_PLUS_VERTEX,
     CASE_DOMINANT,
@@ -120,6 +120,20 @@ def test_classify_g2_g3():
     renamed = EdgeColoring(6, 4, [remap[c] for c in g.colors])
     label, _ = classify_structure(renamed, "p4plus")
     assert label == CASE_G2
+
+
+def test_g2_g3_matchers_recover_every_special_tuple():
+    # the matchers rebuild the member from the special vertices they read off
+    for x, y in itertools.permutations(range(5), 2):
+        g2 = g2_coloring(5, x, y)
+        assert is_member(g2, "g2").special == (x, y) and is_member(g2, "g3") is None
+    for a, b, c in itertools.permutations(range(5), 3):
+        g3 = g3_coloring(5, a, b, c)
+        assert is_member(g3, "g3").special == (a, b, c) and is_member(g3, "g2") is None
+    for remap in itertools.permutations((1, 2, 3, 4)):
+        for member, case in ((g2_coloring(5, 3, 1), CASE_G2), (g3_coloring(5, 4, 0, 2), CASE_G3)):
+            renamed = EdgeColoring(5, 4, [remap[col - 1] for col in member.colors])
+            assert classify_structure(renamed, "p4plus")[0] == case
 
 
 def test_classify_exceptional_shapes():
@@ -235,6 +249,18 @@ def test_shape_table_round_trip():
                         assert got == label, (label, coloring.colors)
                     seen += 1
             assert seen, (context, label)
+
+
+def test_p4plus_clique_plus_vertex_is_rainbow_free_only_on_k4():
+    # p4plus classifies clique-plus-vertex, though structure mode has no such
+    # row: its members lack a rainbow P_4^+ on K_4 and hold one from K_5 on
+    for n, count, rainbow_free in ((4, 6, True), (5, 60, False), (6, 390, False)):
+        members = _members(CASE_CLIQUE_PLUS_VERTEX, n)
+        assert len(members) == count
+        assert all((has_rainbow(c, P4_PLUS) is None) == rainbow_free for c in members)
+    for coloring in _members(CASE_CLIQUE_PLUS_VERTEX, 4):
+        label, d = classify_structure(coloring, "p4plus")
+        assert label == CASE_CLIQUE_PLUS_VERTEX and d.special == (3,)
 
 
 def test_matched_quad_label_survives_relabelling():
