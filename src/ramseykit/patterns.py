@@ -12,7 +12,8 @@ per-n table of row offsets (``base[u] + v == pair_rank(u, v, n)``), and a
 rainbow copy needs one distinct decided color per edge, so the
 whole-graph rainbow tests answer "absent" at once when fewer colors are in
 use than the pattern has edges.  Paths, stars, cliques and kipas also have
-anchored fast paths, the longest path order comes from the classic DP over
+anchored fast paths (a path or kipas rim fits its last two vertices in
+closed form), the longest path order comes from the classic DP over
 (vertex subset, endpoint) states, and minimum-edge forests use one plan
 per component-order partition.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence, Union
 
 from .coloring import EdgeColoring, pair_rank
@@ -355,8 +357,8 @@ def longest_path_order(n: int, adj: Sequence[int]) -> int:
 
 def _has_clique(adj: Sequence[int], mask: int, order: int) -> bool:
     """Is there a clique of the given order inside the vertex set ``mask``?"""
-    if order <= 0:
-        return True
+    if order <= 1:
+        return order <= 0 or mask != 0
     while mask.bit_count() >= order:
         w = (mask & -mask).bit_length() - 1
         mask ^= 1 << w
@@ -552,17 +554,17 @@ def mono_present(
         return forest_min_edges_exists(n, adj, p.min_edges, p.min_order)
     if edge is None:
         return _mono_copy(n, adj, p) is not None
-    if pattern_order(p) > n:
-        return False
     u, v = edge
     if isinstance(p, Path):
-        return _grow(adj, (1 << n) - 1, u, v, 1 << u | 1 << v, 2, p.order)
-    if isinstance(p, Star):
-        return max(adj[u].bit_count(), adj[v].bit_count()) >= p.leaves
-    if isinstance(p, Kipas):
-        return _kipas_through(adj, p.order, u, v)
+        return p.order <= n and _grow(adj, (1 << n) - 1, u, v, 1 << u | 1 << v, 2, p.order)
     if isinstance(p, CompleteGraph):
-        return _has_clique(adj, adj[u] & adj[v], p.order - 2)
+        return p.order <= n and _has_clique(adj, adj[u] & adj[v], p.order - 2)
+    if isinstance(p, Star):
+        return p.leaves < n and max(adj[u].bit_count(), adj[v].bit_count()) >= p.leaves
+    if isinstance(p, Kipas):
+        return p.order < n and _kipas_through(adj, p.order, u, v)
+    if pattern_order(p) > n:
+        return False
     plans = _anchor_plans(p)
     if not plans:  # no edges: present whenever it fits
         return True
@@ -583,13 +585,33 @@ def _grow(
     y) grow inside ``allowed`` to ``order`` vertices?
 
     Grows the y end depth first and, after each step, tries to finish from
-    the x end.  With x == y it asks for a path through that vertex.
+    the x end.  The last two vertices are fitted in closed form: one at
+    each end (both ends have a free neighbour, and together at least two),
+    or two at one end (a free neighbour z of either end has a free
+    neighbour of its own).  With x == y it asks for a path through that
+    vertex.
     """
-    if (allowed & ~used).bit_count() < order - size:
+    free = allowed & ~used
+    need = order - size
+    if free.bit_count() < need:
         return False
-    if _grow_end(adj, allowed, x, used, order - size):
+    if need <= 2:
+        ex = adj[x] & free
+        ey = adj[y] & free
+        if need <= 1:
+            return need <= 0 or (ex | ey) != 0
+        if ex and ey and (ex | ey).bit_count() >= 2:
+            return True
+        ends = ex | ey
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            if adj[low.bit_length() - 1] & free:
+                return True
+        return False
+    if _grow_end(adj, allowed, x, used, need):
         return True
-    ext = adj[y] & allowed & ~used
+    ext = adj[y] & free
     while ext:
         low = ext & -ext
         ext ^= low
@@ -851,11 +873,25 @@ def _bases(n: int) -> tuple[int, ...]:
     return tuple(pair_rank(u, u + 1, n) - u - 1 for u in range(n))
 
 
-def _color_degree(n: int, colors: Sequence[int], w: int) -> int:
-    """Number of distinct decided colors on the edges at w."""
+@lru_cache(maxsize=64)
+def _incident(n: int) -> tuple:
+    """Per vertex w, a getter of the colors on the n - 1 edges at w from
+    the flat color array, as a tuple."""
     base = _bases(n)
-    seen = set(colors[base[w] + w + 1 : base[w] + n])  # the pairs (w, z), z > w
-    seen.update(colors[base[z] + w] for z in range(w))
+    getters = []
+    for w in range(n):
+        ranks = [base[z] + w for z in range(w)] + list(range(base[w] + w + 1, base[w] + n))
+        if len(ranks) > 1:
+            getters.append(itemgetter(*ranks))
+        else:  # itemgetter of one index returns the bare value, of none fails
+            getters.append(lambda colors, ranks=tuple(ranks): tuple(colors[r] for r in ranks))
+    return tuple(getters)
+
+
+def _color_degree(n: int, colors: Sequence[int], w: int) -> int:
+    """Number of distinct decided colors on the edges at w, read through
+    the cached getter of w's n - 1 pairs."""
+    seen = set(_incident(n)[w](colors))
     seen.discard(0)
     return len(seen)
 
@@ -950,7 +986,7 @@ def rainbow_present(
         return _rainbow_copy(n, colors, p) is not None
     u, v = edge
     if isinstance(p, Star):
-        return max(_color_degree(n, colors, u), _color_degree(n, colors, v)) >= p.leaves
+        return _color_degree(n, colors, u) >= p.leaves or _color_degree(n, colors, v) >= p.leaves
     if pattern_order(p) > n:
         return False
     plans = _anchor_plans(p)

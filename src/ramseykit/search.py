@@ -116,6 +116,10 @@ def _scan(
     nonempty than it has edges.  ``surjective``
     keeps only colorings using all k colors; the result is flagged exact
     when it uses them all.
+
+    The per-node work is kept small: a node counts itself on the budget
+    without a call, runs its color's mono tests in line, and runs the
+    rainbow tests only when a rainbow pattern is tracked.
     """
     edges = list(pair_iter(n))
     ecolor = [0] * len(edges)
@@ -150,12 +154,11 @@ def _scan(
         return False
 
     def rainbow_hit(edge: tuple[int, int]) -> bool:
-        if not rainbow:
-            return False
         in_use = k + 1 - class_edges.count(0)  # class_edges[0] stays 0
-        return any(
-            in_use >= size and rainbow_present(n, ecolor, p, edge) for size, p in rainbow
-        )
+        for size, p in rainbow:
+            if in_use >= size and rainbow_present(n, ecolor, p, edge):
+                return True
+        return False
 
     # Fixed edges go in one at a time; a color class stops being tested once
     # it holds a pattern, and every test stops once a rainbow copy shows up.
@@ -191,16 +194,23 @@ def _scan(
         edge = u, v = edges[i]
         bu, bv = 1 << u, 1 << v
         for c in allowed[i]:
-            budget.spend()
+            budget.nodes += 1
+            if budget.nodes > budget.limit:
+                budget.spend(0)  # raises BudgetExceeded
             ecolor[i] = c
             row = adj[c]
             row[u] |= bv
             row[v] |= bu
             class_edges[c] += 1
-            if not (mono_hit(c, edge) or rainbow_hit(edge)):
-                got = dfs(j + 1)
-                if got is not None:
-                    return got
+            size = class_edges[c]
+            for min_edges, p in mono[c]:  # mono_hit in line: this runs at every node
+                if size >= min_edges and mono_present(n, row, p, edge):
+                    break
+            else:
+                if not (rainbow and rainbow_hit(edge)):
+                    got = dfs(j + 1)
+                    if got is not None:
+                        return got
             ecolor[i] = 0
             row[u] &= ~bv
             row[v] &= ~bu

@@ -15,7 +15,7 @@ its matcher.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .coloring import EdgeColoring, pair_iter
 from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL, g2_coloring, g3_coloring
@@ -235,6 +235,13 @@ def three_part_descriptor(
     pair, and an edge between two parts the one color both pairs hold, their
     cross color.  The first choice in lexicographic order that leaves at
     most ``allow_empty`` parts empty is returned.
+
+    It is built vertex by vertex: each vertex takes its least allowed part
+    that still lets the vertices after it fill enough of the empty parts.
+    How many they can fill is a matching of empty parts to distinct later
+    vertices; by Hall's theorem it is the number of empty parts less the
+    largest deficiency |X| - |N(X)| over sets X of them, with |N(X)| read
+    from suffix counts.
     """
     n = coloring.n_vertices
     sup = _supports(coloring)
@@ -244,11 +251,30 @@ def three_part_descriptor(
     for v in range(n):
         met = {c for c, mask in sup.items() if (mask >> v) & 1}
         allowed.append([p for p, pair in enumerate(_T_INTERNAL) if met <= pair])
-    for assign in product(*allowed):
-        if 3 - len(set(assign)) <= allow_empty:
-            parts = tuple(tuple(v for v in range(n) if assign[v] == p) for p in range(3))
-            return FamilyDescriptor("t" if all(parts) else "g1", n, parts=parts)
-    return None
+    if not all(allowed):
+        return None
+    # reach[i][x]: how many of the vertices i.. may go to a part in the set x
+    reach = [[0] * 8]
+    for choices in reversed(allowed):
+        mask = sum(1 << p for p in choices)
+        reach.append([r + (x & mask != 0) for x, r in enumerate(reach[-1])])
+    reach.reverse()
+
+    def filled(i: int, used: int) -> int:
+        """The most parts in use once the vertices i.. are placed too."""
+        return 3 - max(x.bit_count() - reach[i][x] for x in range(8) if not x & used)
+
+    need = 3 - allow_empty
+    if filled(0, 0) < need:
+        return None
+    assign = []
+    used = 0
+    for v in range(n):
+        part = next(p for p in allowed[v] if filled(v + 1, used | 1 << p) >= need)
+        assign.append(part)
+        used |= 1 << part
+    parts = tuple(tuple(v for v in range(n) if assign[v] == p) for p in range(3))
+    return FamilyDescriptor("t" if all(parts) else "g1", n, parts=parts)
 
 
 def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) -> FamilyDescriptor | None:

@@ -21,6 +21,7 @@ from ramseykit.patterns import (
     P4_PLUS,
     Path,
     Star,
+    _grow,
     mono_present,
     pattern_edges,
     pattern_order,
@@ -28,9 +29,9 @@ from ramseykit.patterns import (
 )
 
 MONO_PATTERNS = [
-    Path(2), Path(3), Path(4), Path(5), Path(6),
+    Path(2), Path(3), Path(4), Path(5), Path(6), Path(7),
     Star(1), Star(2), Star(3),
-    Kipas(1), Kipas(2), Kipas(3), Kipas(4),
+    Kipas(1), Kipas(2), Kipas(3), Kipas(4), Kipas(5),
     CompleteGraph(2), CompleteGraph(3), CompleteGraph(4),
     LinearForestExact((2, 2)), LinearForestExact((3, 3)), LinearForestExact((2, 4)),
     LinearForestExact((2, 2, 2)), LinearForestExact((3, 2, 2)),
@@ -64,7 +65,8 @@ def test_anchored_mono_matches_whole_graph_and_naive():
     cases = hits = 0
     for trial in range(280):
         p = MONO_PATTERNS[trial % len(MONO_PATTERNS)]
-        n = rng.randint(2, 8)
+        # paths and kipas up to the sizes the benchmark searches
+        n = rng.randint(2, 12 if isinstance(p, (Path, Kipas)) else 8)
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)
         adj = [0] * n
@@ -117,3 +119,54 @@ def test_smallest_patterns_are_the_edge_itself():
     colors = [5, 0, 0]
     assert rainbow_present(3, colors, Path(2), (0, 1))
     assert not rainbow_present(3, colors, Path(3), (0, 1))
+
+
+def _extensions(adj, free, start, count):
+    """Vertex sets of the paths start, w_1, ..., w_count with every w in free."""
+    found = set()
+
+    def walk(v, seen, left):
+        if not left:
+            found.add(seen)
+            return
+        for w in range(len(adj)):
+            if free >> w & 1 and not seen >> w & 1 and adj[v] >> w & 1:
+                walk(w, seen | 1 << w, left - 1)
+
+    walk(start, 0, count)
+    return found
+
+
+def test_grow_matches_path_enumeration():
+    # _grow against every split of the missing vertices between the two ends,
+    # with random allowed sets and the single-vertex path x == y
+    rng = random.Random(13)
+    cases = hits = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < rng.choice((0.3, 0.5, 0.8)):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        path = [rng.randrange(n)]
+        for _ in range(rng.randint(0, 3)):
+            nxt = [w for w in range(n) if adj[path[-1]] >> w & 1 and w not in path]
+            if nxt:
+                path.append(rng.choice(nxt))
+        used = sum(1 << w for w in path)
+        allowed = rng.randrange(1 << n) | used
+        order = len(path) + rng.randint(-1, 5)
+        free = allowed & ~used
+        need = order - len(path)
+        x, y = path[0], path[-1]
+        want = need <= 0 or any(
+            not a & b
+            for s in range(need + 1)
+            for a in _extensions(adj, free, x, s)
+            for b in _extensions(adj, free, y, need - s)
+        )
+        assert _grow(adj, allowed, x, y, used, len(path), order) == want, (adj, allowed, path, order)
+        cases += 1
+        hits += want
+    assert hits > 800 and cases - hits > 800, (cases, hits)

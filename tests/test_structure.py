@@ -1,9 +1,13 @@
 import itertools
+import random
+import time
 
 import pytest
 
 from ramseykit.coloring import EdgeColoring, pair_iter
 from ramseykit.constructions import (
+    _T_CROSS,
+    _T_INTERNAL,
     g2_coloring,
     g3_coloring,
     witness_bk_path,
@@ -28,6 +32,7 @@ from ramseykit.structure import (
     is_member,
     multipartite_ham,
     star_forest_check,
+    three_part_descriptor,
 )
 
 
@@ -182,6 +187,55 @@ def test_t_colorings_classify_as_g1():
     # three nonempty parts with pairwise cross colors is the g1 form
     assert label == CASE_G1
     assert all(d.parts)
+
+
+def _three_part_by_product(coloring, allow_empty):
+    """The first choice of allowed parts, in lexicographic order, that leaves
+    at most ``allow_empty`` parts empty: the full ``itertools.product`` scan."""
+    n = coloring.n_vertices
+    if coloring.colors_used() - {1, 2, 3}:
+        return None
+    allowed = [
+        [p for p, pair in enumerate(_T_INTERNAL)
+         if all(coloring.color_of(v, w) in pair for w in range(n) if w != v)]
+        for v in range(n)
+    ]
+    for assign in itertools.product(*allowed):
+        if 3 - len(set(assign)) <= allow_empty:
+            return tuple(tuple(v for v in range(n) if assign[v] == p) for p in range(3))
+    return None
+
+
+def test_three_part_descriptor_matches_the_product_scan():
+    # t-like 3-colorings (random parts, internal colors from the part's pair,
+    # fixed cross colors), some edges recolored at random
+    rng = random.Random(21)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        part = [rng.randrange(3) for _ in range(n)]
+        noise = rng.choice((0.0, 0.05, 0.3))
+        colors = []
+        for u, v in pair_iter(n):
+            a, b = sorted((part[u], part[v]))
+            c = rng.choice(sorted(_T_INTERNAL[a])) if a == b else _T_CROSS[(a, b)]
+            colors.append(rng.randint(1, 3) if rng.random() < noise else c)
+        coloring = EdgeColoring(n, 3, colors)
+        for allow_empty in (0, 1):
+            got = three_part_descriptor(coloring, allow_empty)
+            want = _three_part_by_product(coloring, allow_empty)
+            assert (got and got.parts) == want, (n, colors, allow_empty)
+            found += want is not None
+    assert found > 1500, found
+
+
+def test_three_part_descriptor_is_polynomial():
+    # every vertex fits parts 0 and 1 and none fits part 2: 2^32 choices
+    coloring = EdgeColoring.constant(32, 1, 3)
+    start = time.perf_counter()
+    assert is_member(coloring, "t") is None
+    assert is_member(coloring, "g1").parts == (tuple(range(31)), (31,), ())
+    assert time.perf_counter() - start < 1
 
 
 def test_k13_completeness_on_k4():
