@@ -153,16 +153,7 @@ def _cmd_generate(args) -> int:
     if fam in ("bk", "t", "g1"):
         if not args.parts:
             raise RamseykitError(f"family {fam} needs --parts SIZES (e.g. --parts 2,3)")
-        sizes = _parse_parts(args.parts)
-        parts = constructions._ranges(sizes)
-        if fam == "bk":
-            part_colors = [i + 2 for i in range(len(parts))]
-        else:
-            part_colors = [1, 2, 3][: len(parts)]
-        choices = constructions._complete_internal(parts, part_colors)
-        coloring = constructions.build_family(
-            constructions.FamilyDescriptor(fam, sum(sizes), parts=parts, internal_choices=choices)
-        )
+        coloring = constructions.complete_parts(fam, _parse_parts(args.parts))
     elif fam == "g2":
         coloring = constructions.g2_coloring(args.n)
     elif fam == "g3":
@@ -277,6 +268,8 @@ def _cmd_check(args) -> int:
         n, a = args.n, args.a
         if not (3 <= a <= n // 4):
             raise RamseykitError("check 3.2 needs 3 <= a <= n/4")
+        if args.samples < 1:
+            raise RamseykitError("check 3.2 needs --samples >= 1")
         found = search.randomized_kipas_forest_refutation(n, a, args.samples, args.seed)
         note = (
             f"randomized refutation search over {args.samples} samples (seed {args.seed});"

@@ -12,6 +12,11 @@ g2        one edge xy of color 2, the other x-edges color 3, the other
           y-edges color 4, everything else color 1.
 g3        one triangle abc with colors 2, 3, 4, everything else color 1.
 
+``part_allowed`` writes the bk/t/g1 rule down once, as the allowed colors of
+every edge: ``build_family`` checks a descriptor's choices against it,
+``complete_parts`` (behind ``generate`` and the witnesses) builds through
+``build_family``, and the ``bk`` and ``t`` rows of ``structure.SHAPES`` scan it.
+
 Part-to-vertex assignment is deterministic: parts occupy consecutive vertex
 ranges in declaration order, so generated files are stable test fixtures.
 """
@@ -19,7 +24,7 @@ ranges in declaration order, so generated files are stable test fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import combinations
 
 from .coloring import EdgeColoring, pair_iter
 from .errors import DescriptorError, DomainError, RamseykitError
@@ -40,9 +45,9 @@ class FamilyDescriptor:
     dominant_color: int | None = None
 
 
-# internal color pairs per part for the three-part families
-_T_INTERNAL = ({1, 3}, {1, 2}, {2, 3})
-_T_CROSS = {(0, 1): 1, (1, 2): 2, (0, 2): 3}
+# internal color pairs of the three parts in the t and g1 families, ascending
+# as the search tries them
+_T_INTERNAL = ((1, 3), (1, 2), (2, 3))
 
 
 def _check_partition(d: FamilyDescriptor, min_size: int, n_parts: int, allow_empty: int) -> None:
@@ -70,54 +75,48 @@ def _check_partition(d: FamilyDescriptor, min_size: int, n_parts: int, allow_emp
         raise DescriptorError(f"{d.family}: parts do not cover all vertices")
 
 
-def _apply_internal(
-    assignment: dict[tuple[int, int], int],
-    part: tuple[int, ...],
-    allowed: set[int],
-    choices: Mapping[tuple[int, int], int] | None,
-    family: str,
-) -> None:
-    for i, u in enumerate(part):
-        for v in part[i + 1:]:
-            e = (min(u, v), max(u, v))
-            c = None if choices is None else choices.get(e)
-            if c is None:
-                raise DescriptorError(f"{family}: internal edge {e} has no color choice")
-            if c not in allowed:
-                raise DescriptorError(
-                    f"{family}: internal edge {e} colored {c}, allowed {sorted(allowed)}"
-                )
-            assignment[e] = c
+def part_allowed(family: str, parts) -> list[tuple[int, ...]]:
+    """The allowed colors of every edge of a bk, t or g1 member with these
+    parts, in pair_rank order.
+
+    An edge inside part i takes a color of the part's internal pair: (1, i+2)
+    in bk, ``_T_INTERNAL[i]`` in t and g1.  An edge between two parts is fixed
+    to the one color their pairs share, their cross color: always 1 in bk,
+    and 1, 2, 3 for the t parts 1-2, 2-3, 1-3.
+    """
+    pairs = [(1, i + 2) for i in range(len(parts))] if family == "bk" else _T_INTERNAL
+    where = {v: i for i, part in enumerate(parts) for v in part}
+    allowed = []
+    for u, v in pair_iter(len(where)):
+        i, j = where[u], where[v]
+        allowed.append(pairs[i] if i == j else tuple(set(pairs[i]) & set(pairs[j])))
+    return allowed
 
 
 def build_family(d: FamilyDescriptor) -> EdgeColoring:
     """Build the coloring a descriptor determines; cross colors are fixed."""
     n = d.n_vertices
     assignment: dict[tuple[int, int], int] = {}
-    if d.family == "bk":
-        if d.parts is None or len(d.parts) < 2:
-            raise DescriptorError("bk: needs at least 2 parts (k >= 3)")
-        k = len(d.parts) + 1
-        _check_partition(d, min_size=2, n_parts=len(d.parts), allow_empty=0)
-        for u, v in pair_iter(n):
-            assignment[(u, v)] = 1
-        for i, part in enumerate(d.parts):
-            _apply_internal(assignment, part, {1, i + 2}, d.internal_choices, "bk")
-        return _exactified(EdgeColoring.from_pairs(n, k, assignment))
-    if d.family in ("t", "g1"):
-        allow_empty = 0 if d.family == "t" else 1
-        _check_partition(d, min_size=1, n_parts=3, allow_empty=allow_empty)
-        where = {}
-        for i, part in enumerate(d.parts):
-            for v in part:
-                where[v] = i
-        for u, v in pair_iter(n):
-            pu, pv = where[u], where[v]
-            if pu != pv:
-                assignment[(u, v)] = _T_CROSS[(min(pu, pv), max(pu, pv))]
-        for i, part in enumerate(d.parts):
-            _apply_internal(assignment, part, set(_T_INTERNAL[i]), d.internal_choices, d.family)
-        return _exactified(EdgeColoring.from_pairs(n, 3, assignment))
+    if d.family in ("bk", "t", "g1"):
+        if d.family == "bk":
+            if d.parts is None or len(d.parts) < 2:
+                raise DescriptorError("bk: needs at least 2 parts (k >= 3)")
+            _check_partition(d, min_size=2, n_parts=len(d.parts), allow_empty=0)
+        else:
+            _check_partition(d, min_size=1, n_parts=3, allow_empty=0 if d.family == "t" else 1)
+        choices = d.internal_choices or {}
+        colors = []
+        for e, allowed in zip(pair_iter(n), part_allowed(d.family, d.parts)):
+            c = allowed[0] if len(allowed) == 1 else choices.get(e)
+            if c is None:
+                raise DescriptorError(f"{d.family}: internal edge {e} has no color choice")
+            if c not in allowed:
+                raise DescriptorError(
+                    f"{d.family}: internal edge {e} colored {c}, allowed {list(allowed)}"
+                )
+            colors.append(c)
+        k = len(d.parts) + 1 if d.family == "bk" else 3
+        return _exactified(EdgeColoring(n, k, colors))
     if d.family == "g2":
         if d.special is None or len(d.special) != 2:
             raise DescriptorError("g2: needs special vertices (x, y)")
@@ -168,13 +167,13 @@ def _ranges(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-def _complete_internal(parts, colors_per_part) -> dict[tuple[int, int], int]:
-    choices: dict[tuple[int, int], int] = {}
-    for part, c in zip(parts, colors_per_part):
-        for i, u in enumerate(part):
-            for v in part[i + 1:]:
-                choices[(min(u, v), max(u, v))] = c
-    return choices
+def complete_parts(family: str, sizes) -> EdgeColoring:
+    """The bk, t or g1 member on consecutive parts of these sizes with part i
+    complete in color i+2 (bk) or i+1 (t and g1)."""
+    parts = _ranges(sizes)
+    first = 2 if family == "bk" else 1
+    choices = {e: first + i for i, part in enumerate(parts) for e in combinations(part, 2)}
+    return build_family(FamilyDescriptor(family, sum(sizes), parts=parts, internal_choices=choices))
 
 
 def g2_coloring(n: int, x: int = 0, y: int = 1) -> EdgeColoring:
@@ -225,15 +224,9 @@ def witness_bk_path(k: int, n: int, verify: bool = False) -> EdgeColoring:
     sizes = [2] * (k - 2) + [total - 2 * (k - 2)]
     parts = _ranges(sizes)
     big = parts[-1]
-    h2 = big[len(big) - (n - 1):]
-    h1 = big[: len(big) - (n - 1)]
-    choices: dict[tuple[int, int], int] = {}
-    for i, part in enumerate(parts[:-1]):
-        choices[(part[0], part[1])] = i + 2
-    for i, u in enumerate(big):
-        for v in big[i + 1:]:
-            same_clique = (u in h1 and v in h1) or (u in h2 and v in h2)
-            choices[(u, v)] = k if same_clique else 1
+    h1 = set(big[: len(big) - (n - 1)])
+    choices = {pair: i + 2 for i, pair in enumerate(parts[:-1])}
+    choices.update({(u, v): k if (u in h1) == (v in h1) else 1 for u, v in combinations(big, 2)})
     coloring = build_family(FamilyDescriptor("bk", total, parts=parts, internal_choices=choices))
     if verify:
         _assert_free(coloring, [(c, Path(n)) for c in range(1, k + 1)], f"bk path witness ({k}, {n})")
@@ -250,11 +243,7 @@ def witness_t_path(n: int, verify: bool = False) -> EdgeColoring:
         sizes = [n // 2, n // 2 - 1, n // 2 - 1]
     else:
         sizes = [(n - 1) // 2] * 3
-    parts = _ranges(sizes)
-    choices = _complete_internal(parts, [1, 2, 3])
-    coloring = build_family(
-        FamilyDescriptor("t", sum(sizes), parts=parts, internal_choices=choices)
-    )
+    coloring = complete_parts("t", sizes)
     if verify:
         _assert_free(coloring, [(c, Path(n)) for c in (1, 2, 3)], f"t path witness ({n})")
     return coloring
@@ -272,26 +261,15 @@ def witness_b3_kipas(n: int, verify: bool = False) -> EdgeColoring:
         b_sizes = [(n - 1) // 2] * 3
     else:
         b_sizes = [n // 2, n // 2 - 1, n // 2 - 1]
-    sizes = [n] + b_sizes
-    total = sum(sizes)
-    groups = _ranges(sizes)
-    a_part = groups[0]
-    assignment: dict[tuple[int, int], int] = {}
-    where = {}
-    for gi, g in enumerate(groups):
-        for v in g:
-            where[v] = gi
-    for u, v in pair_iter(total):
-        gu, gv = where[u], where[v]
-        if gu == 0 and gv == 0:
-            assignment[(u, v)] = 3
-        elif gu == 0 or gv == 0:
-            assignment[(u, v)] = 1
-        elif gu == gv:
-            assignment[(u, v)] = 1
-        else:
-            assignment[(u, v)] = 2
-    coloring = _exactified(EdgeColoring.from_pairs(total, 3, assignment))
+    a_part, *groups = _ranges([n] + b_sizes)
+    b_part = sum(groups, ())
+    group = {v: i for i, g in enumerate(groups) for v in g}
+    # the bk parts are (B, A), so B's edges take 1 or 2 and A's 1 or 3
+    choices = {e: 3 for e in combinations(a_part, 2)}
+    choices.update({(u, v): 1 if group[u] == group[v] else 2 for u, v in combinations(b_part, 2)})
+    coloring = build_family(
+        FamilyDescriptor("bk", n + len(b_part), parts=(b_part, a_part), internal_choices=choices)
+    )
     if verify:
         _assert_free(coloring, [(c, Kipas(n)) for c in (1, 2, 3)], f"b3 kipas witness ({n})")
     return coloring
@@ -302,17 +280,7 @@ def witness_small_kipas(n: int, verify: bool = False) -> EdgeColoring:
     colors 2 and 3 the two sides (an edge each for n=2, triangles for n=3)."""
     if n not in (2, 3):
         raise DomainError("only n in {2, 3}")
-    side = n  # bipartition sides {0..n-1} and {n..2n-1}
-    total = 2 * side
-    assignment: dict[tuple[int, int], int] = {}
-    for u, v in pair_iter(total):
-        if u < side and v >= side:
-            assignment[(u, v)] = 1
-        elif v < side:
-            assignment[(u, v)] = 2
-        else:
-            assignment[(u, v)] = 3
-    coloring = _exactified(EdgeColoring.from_pairs(total, 3, assignment))
+    coloring = complete_parts("bk", [n, n])
     if verify:
         _assert_free(coloring, [(c, Kipas(n)) for c in (1, 2, 3)], f"small kipas witness ({n})")
     return coloring

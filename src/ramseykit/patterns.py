@@ -160,10 +160,12 @@ def parse_pattern(text: str) -> PatternSpec:
             return LinearForestExact(tuple(int(p) for p in rest.split("+")))
         if head == "lf":
             fields = dict(item.split("=", 1) for item in rest.split(","))
-            return LinearForestMin(
-                int(fields.pop("minedges")),
-                int(fields.pop("minorder", 2)),
-            )
+            min_edges, min_order = int(fields.pop("minedges")), int(fields.pop("minorder", 2))
+            if fields:
+                raise DomainError(f"unknown lf field(s) {', '.join(fields)} in {text!r}")
+            return LinearForestMin(min_edges, min_order)
+    except DomainError:
+        raise  # a constructor's range check, or the leftover fields above
     except (ValueError, KeyError):
         pass
     raise DomainError(f"unrecognized pattern {text!r}")

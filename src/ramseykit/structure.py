@@ -18,7 +18,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .coloring import EdgeColoring, pair_iter
-from .constructions import FamilyDescriptor, _T_CROSS, _T_INTERNAL, g2_coloring, g3_coloring
+from .constructions import (
+    FamilyDescriptor, _T_INTERNAL, _ranges, g2_coloring, g3_coloring, part_allowed,
+)
 from .errors import DomainError
 from .patterns import P4_PLUS, Path, Star, _bits
 
@@ -250,7 +252,7 @@ def three_part_descriptor(
     allowed = []
     for v in range(n):
         met = {c for c, mask in sup.items() if (mask >> v) & 1}
-        allowed.append([p for p, pair in enumerate(_T_INTERNAL) if met <= pair])
+        allowed.append([p for p, pair in enumerate(_T_INTERNAL) if met.issubset(pair)])
     if not all(allowed):
         return None
     # reach[i][x]: how many of the vertices i.. may go to a part in the set x
@@ -359,31 +361,22 @@ def _size_multisets(total: int, count: int, min_size: int):
     yield from rec(total, count, min_size)
 
 
-def _parts_allowed(n: int, count: int, min_size: int, cross, internal):
-    """One list per part-size multiset: parts are consecutive vertex ranges,
-    the edge between parts i < j is fixed to ``cross[(i, j)]`` and an edge
-    inside part i is colored from ``internal[i]``."""
+def _parts_allowed(n: int, family: str, count: int, min_size: int):
+    """One list per part-size multiset, parts consecutive vertex ranges."""
     for sizes in _size_multisets(n, count, min_size):
-        where = [i for i, size in enumerate(sizes) for _ in range(size)]
-        yield [
-            internal[where[u]] if where[u] == where[v] else (cross[(where[u], where[v])],)
-            for u, v in pair_iter(n)
-        ]
+        yield part_allowed(family, _ranges(sizes))
 
 
 def _bk_allowed(n: int, k: int):
-    """k-1 parts of at least two vertices, color 1 across, part i from (1, i+2)."""
-    cross = {(i, j): 1 for i in range(k - 1) for j in range(i + 1, k - 1)}
-    internal = [(1, i + 2) for i in range(k - 1)]
-    return _parts_allowed(n, k - 1, 2, cross, internal)
+    """k-1 parts of at least two vertices."""
+    return _parts_allowed(n, "bk", k - 1, 2)
 
 
 def _t_allowed(n: int, k: int):
-    """Three nonempty parts with the t family's cross and internal colors (k = 3 only)."""
+    """Three nonempty parts (k = 3 only)."""
     if k != 3:
         return
-    internal = [tuple(sorted(pair)) for pair in _T_INTERNAL]
-    yield from _parts_allowed(n, 3, 1, _T_CROSS, internal)
+    yield from _parts_allowed(n, "t", 3, 1)
 
 
 def _color1_except(n: int, special: dict[tuple[int, int], tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -486,11 +479,14 @@ def classify_structure(
 
     * ``p5``: its ``CONTEXTS`` rows after ``bk``, whose matchers take any
       color names.
-    * ``k13``: g1 after renumbering the colors, where ``CONTEXTS`` has the
-      ``t`` row.  The search tracks the target in every color, so one
-      naming of each t member suffices there; a coloring to classify comes
-      in any naming, and g1's empty part adds nothing the dominant form
-      misses.
+    * ``k13``: g1 after renumbering the used colors onto 1, 2, 3 in
+      ascending order, where ``CONTEXTS`` has the ``t`` row.  The search
+      tracks the target in every color, so one naming of each t member
+      suffices there; a coloring to classify comes in any naming, and g1's
+      empty part adds nothing the dominant form misses.  One renumbering is
+      enough: renaming the colors permutes ``_T_INTERNAL``'s three pairs,
+      that is the three parts, so when any renumbering admits a split the
+      ascending one does too.
     * ``p4plus``: g2, then g3, after renumbering, then clique-plus-vertex,
       which ``CONTEXTS`` leaves out.  Its members are free of a rainbow
       P_4^+ only on K_4: none of the 6 exact ones there holds one, while all
@@ -516,10 +512,9 @@ def classify_structure(
                 return label, got
     elif rainbow_context == "k13":
         if k_used == 3:
-            for renumbered in _color_permutations(coloring, 3):
-                got = three_part_descriptor(renumbered, allow_empty=1)
-                if got is not None:
-                    return CASE_G1, got
+            got = three_part_descriptor(next(_color_permutations(coloring, 3)), allow_empty=1)
+            if got is not None:
+                return CASE_G1, got
     else:  # p4plus
         if k_used == 4:
             for renumbered in _color_permutations(coloring, 4):

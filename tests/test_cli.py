@@ -124,6 +124,15 @@ def test_check_command(tmp_path, capsys):
     ]
 
 
+def test_check_32_refuses_fewer_than_one_sample(capsys):
+    # no sample drawn is no evidence: refused like a bad --a, not "holds"
+    assert main(["check", "--lemma", "3.2", "--n", "12", "--a", "3", "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "error: check 3.2 needs --samples >= 1\n"
+    argv = ["check", "--lemma", "3.2", "--n", "12", "--a", "3", "--samples", "-5", "--json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "check 3.2 needs --samples >= 1"}
+
+
 def test_grverify_command(tmp_path, capsys):
     assert main(["grverify", "--k", "4", "--rainbow", "p5", "--target", "path:6", "--N", "7"]) == 0
     witness = tmp_path / "cex.ecg"

@@ -1,5 +1,7 @@
 import pytest
 
+from ramseykit.cli import main
+from ramseykit.coloring import EdgeColoring, pair_iter, read_coloring_file
 from ramseykit.constructions import (
     FamilyDescriptor,
     build_family,
@@ -187,3 +189,73 @@ def test_bk_witnesses_use_all_colors():
         w = witness_bk_path(k, n)
         assert w.colors_used() == set(range(1, k + 1))
         assert w.exact_flag
+
+
+# The families as the module docstring defines them, built edge by edge: the
+# t family's cross colors and a part's index for each vertex.
+T_CROSS = {(0, 1): 1, (1, 2): 2, (0, 2): 3}
+
+
+def _consecutive(sizes):
+    return [i for i, size in enumerate(sizes) for _ in range(size)]
+
+
+def _edge_by_edge(n, k, color):
+    """The coloring with color(u, v) on each edge u < v, exact when surjective."""
+    colors = [color(u, v) for u, v in pair_iter(n)]
+    return EdgeColoring(n, k, colors, exact_flag=set(colors) == set(range(1, k + 1)))
+
+
+def _complete_parts_by_edge(family, sizes):
+    """Part i (from 0) complete in color i+2 (bk) or i+1 (t, g1); cross edges
+    1 in bk and T_CROSS in t and g1."""
+    where = _consecutive(sizes)
+    k = len(sizes) + 1 if family == "bk" else 3
+
+    def color(u, v):
+        i, j = where[u], where[v]
+        if i == j:
+            return i + 2 if family == "bk" else i + 1
+        return 1 if family == "bk" else T_CROSS[(i, j)]
+
+    return _edge_by_edge(len(where), k, color)
+
+
+def _same(got, want):
+    assert (got.n_vertices, got.n_colors, got.colors, got.exact_flag) == (
+        want.n_vertices, want.n_colors, want.colors, want.exact_flag,
+    )
+
+
+def test_witnesses_match_their_edge_by_edge_definitions():
+    for n in range(5, 13):
+        # A, the first n vertices, complete in color 3; the rest three groups,
+        # each internally 1, pairwise 2, and joined to A by 1
+        b = [(n - 1) // 2] * 3 if n % 2 else [n // 2, n // 2 - 1, n // 2 - 1]
+        where = _consecutive([n] + b)
+
+        def color(u, v):
+            if where[u] == where[v]:
+                return 3 if where[u] == 0 else 1
+            return 1 if where[u] == 0 else 2
+
+        _same(witness_b3_kipas(n), _edge_by_edge(n + sum(b), 3, color))
+    for n in (2, 3):
+        # color 1 across the sides {0..n-1} and {n..2n-1}, colors 2 and 3 inside
+        _same(witness_small_kipas(n), _edge_by_edge(
+            2 * n, 3, lambda u, v: 1 if u < n <= v else (2 if v < n else 3)
+        ))
+    for n in range(3, 16):
+        sizes = [(n - 1) // 2] * 3 if n % 2 else [n // 2, n // 2 - 1, n // 2 - 1]
+        _same(witness_t_path(n), _complete_parts_by_edge("t", sizes))
+
+
+def test_generate_family_matches_its_edge_by_edge_definition(tmp_path):
+    cases = [("bk", [2, 3]), ("bk", [2, 3, 3]), ("bk", [4, 2, 2, 3]), ("bk", [3, 3]),
+             ("t", [1, 1, 1]), ("t", [2, 2, 3]), ("t", [4, 1, 2]),
+             ("g1", [2, 3, 1]), ("g1", [0, 2, 3]), ("g1", [3, 0, 2]), ("g1", [2, 2, 0])]
+    for family, sizes in cases:
+        out = tmp_path / f"{family}.ecg"
+        parts = ",".join(map(str, sizes))
+        assert main(["generate", "--family", family, "--parts", parts, "-o", str(out)]) == 0
+        _same(read_coloring_file(out), _complete_parts_by_edge(family, sizes))

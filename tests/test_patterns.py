@@ -70,6 +70,18 @@ def test_pattern_parsing_round_trip():
         parse_pattern("lf:minorder=2")
 
 
+def test_pattern_parsing_refuses_unknown_fields_and_keeps_range_errors():
+    # a misspelled or extra lf field is refused, not dropped
+    for text in ("lf:minedges=3,minorde=3", "lf:minedges=3,minorder=3,extra=1"):
+        with pytest.raises(DomainError, match="unknown lf field"):
+            parse_pattern(text)
+    # a constructor's range check reaches the caller with its own message
+    with pytest.raises(DomainError, match="complete graph order must be >= 1"):
+        parse_pattern("k:0")
+    with pytest.raises(DomainError, match="min component order must be 2 or 3"):
+        parse_pattern("lf:minedges=3,minorder=4")
+
+
 def test_pattern_shapes():
     assert pattern_order(Kipas(4)) == 5
     assert len(pattern_edges(Kipas(4))) == 7

@@ -6,15 +6,16 @@ import pytest
 
 from ramseykit.coloring import EdgeColoring, pair_iter
 from ramseykit.constructions import (
-    _T_CROSS,
+    FamilyDescriptor,
     _T_INTERNAL,
+    build_family,
     g2_coloring,
     g3_coloring,
     witness_bk_path,
     witness_small_kipas,
     witness_t_path,
 )
-from ramseykit.errors import DomainError
+from ramseykit.errors import DescriptorError, DomainError
 from ramseykit.patterns import P4_PLUS, Path, Star, has_rainbow
 from ramseykit.structure import (
     CASE_CLIQUE_PLUS_VERTEX,
@@ -29,11 +30,16 @@ from ramseykit.structure import (
     SHAPES,
     UNCLASSIFIED,
     classify_structure,
+    dominant_descriptor,
     is_member,
     multipartite_ham,
     star_forest_check,
     three_part_descriptor,
 )
+
+
+# the t family's cross colors, as the constructions docstring states them
+_T_CROSS = {(0, 1): 1, (1, 2): 2, (0, 2): 3}
 
 
 def _members(label, n, k=4):
@@ -303,6 +309,90 @@ def test_shape_table_round_trip():
                         assert got == label, (label, coloring.colors)
                     seen += 1
             assert seen, (context, label)
+
+
+def _family_members(family, sizes, pairs):
+    """build_family over every internal choice from ``pairs``, on consecutive
+    parts of these sizes: the colors of each member, in lexicographic order."""
+    parts, base = [], 0
+    for size in sizes:
+        parts.append(tuple(range(base, base + size)))
+        base += size
+    inside = [(e, i) for i, part in enumerate(parts) for e in itertools.combinations(part, 2)]
+    members = []
+    for picks in itertools.product(*(pairs[i] for _, i in inside)):
+        choices = {e: c for (e, _), c in zip(inside, picks)}
+        d = FamilyDescriptor(family, base, parts=tuple(parts), internal_choices=choices)
+        members.append(build_family(d).colors)
+    return members
+
+
+def test_bk_t_rows_list_the_build_family_members():
+    # each row is one ascending part-size multiset; its members are exactly
+    # the colorings build_family makes from the internal pairs of the
+    # constructions docstring: bk part i takes 1 or i+2, a t part the two
+    # cross colors that meet it
+    t_pairs = [sorted(c for (a, b), c in _T_CROSS.items() if p in (a, b)) for p in range(3)]
+    cases = [("bk", k, 2, [(1, i + 2) for i in range(k - 1)]) for k in (3, 4)]
+    cases.append(("t", 3, 1, t_pairs))
+    for label, k, min_size, pairs in cases:
+        for n in range(1, 8):
+            sizes_from = itertools.combinations_with_replacement(range(min_size, n + 1), len(pairs))
+            multisets = [sizes for sizes in sizes_from if sum(sizes) == n]
+            rows = list(SHAPES[label][0](n, k))
+            assert len(rows) == len(multisets), (label, k, n)
+            for row, sizes in zip(rows, multisets):
+                # same order too: the search tries colors ascending
+                got = list(itertools.product(*row))
+                assert got == _family_members(label, sizes, pairs), (label, sizes)
+    # no other choice is accepted
+    with pytest.raises(DescriptorError, match=r"\(0, 1\) colored 2, allowed \[1, 3\]"):
+        build_family(
+            FamilyDescriptor("g1", 3, parts=((0, 1), (2,), ()), internal_choices={(0, 1): 2})
+        )
+
+
+def _k13_six_way(coloring):
+    """The k13 classification trying all six renumberings of the used colors
+    in turn: the reference for the one renumbering classify_structure tries."""
+    d = dominant_descriptor(coloring)
+    if d is not None:
+        return CASE_DOMINANT, d
+    used = sorted(coloring.colors_used())
+    for perm in itertools.permutations((1, 2, 3)):
+        mapping = dict(zip(used, perm))
+        renumbered = EdgeColoring(coloring.n_vertices, 3, [mapping[c] for c in coloring.colors])
+        got = three_part_descriptor(renumbered, allow_empty=1)
+        if got is not None:
+            return CASE_G1, got
+    return UNCLASSIFIED, None
+
+
+def test_k13_one_renumbering_matches_all_six():
+    # every exact 3-coloring of K_4, then t-like colorings up to K_9 with some
+    # edges recolored, under palettes that are not 1, 2, 3
+    corpus = [EdgeColoring(4, 3, c) for c in itertools.product((1, 2, 3), repeat=6)]
+    rng = random.Random(5)
+    for _ in range(1500):
+        n = rng.randint(3, 9)
+        palette = rng.choice(((1, 2, 3), (1, 2, 5), (2, 4, 5), (3, 1, 2), (5, 3, 1)))
+        part = [rng.randrange(3) for _ in range(n)]
+        noise = rng.choice((0.0, 0.05, 0.2))
+        colors = []
+        for u, v in pair_iter(n):
+            a, b = sorted((part[u], part[v]))
+            c = rng.choice(sorted(_T_INTERNAL[a])) if a == b else _T_CROSS[(a, b)]
+            colors.append(palette[(rng.randint(1, 3) if rng.random() < noise else c) - 1])
+        corpus.append(EdgeColoring(n, 5, colors))
+    hits = 0
+    for coloring in corpus:
+        if len(coloring.colors_used()) != 3:
+            continue
+        label, d = classify_structure(coloring, "k13")
+        want_label, want = _k13_six_way(coloring)
+        assert (label, d) == (want_label, want), coloring.colors
+        hits += label == CASE_G1
+    assert hits > 500, hits
 
 
 def test_p4plus_clique_plus_vertex_is_rainbow_free_only_on_k4():
