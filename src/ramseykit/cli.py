@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import acceptance, constructions, formulas, patterns, search, structure
+from . import constructions, formulas, patterns, search, structure
 from .coloring import (
     EdgeColoring,
     dumps_coloring,
@@ -340,6 +340,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # only selftest needs it
+
     results = acceptance.run_all(only=args.only, seed=args.seed)
     if not results:
         print(f"no criteria match {args.only!r}")

@@ -170,6 +170,9 @@ def _ranges(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
 def complete_parts(family: str, sizes) -> EdgeColoring:
     """The bk, t or g1 member on consecutive parts of these sizes with part i
     complete in color i+2 (bk) or i+1 (t and g1)."""
+    for size in sizes:
+        if size < 0:
+            raise DescriptorError(f"{family}: negative part size {size}")
     parts = _ranges(sizes)
     first = 2 if family == "bk" else 1
     choices = {e: first + i for i, part in enumerate(parts) for e in combinations(part, 2)}

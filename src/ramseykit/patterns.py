@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Sequence
 
 from .coloring import EdgeColoring, pair_rank
 from .errors import CapabilityError, DomainError
@@ -131,7 +131,9 @@ class Explicit:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
 
-PatternSpec = Union[Path, Star, Kipas, LinearForestMin, LinearForestExact, CompleteGraph, Explicit]
+# A `|` union, not typing.Union: Union's cache would keep these classes, and
+# through their methods this module, alive after a re-import.
+PatternSpec = Path | Star | Kipas | LinearForestMin | LinearForestExact | CompleteGraph | Explicit
 
 # P_4 with one extra edge hanging off an inner vertex (5 vertices).
 P4_PLUS = Explicit(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
@@ -159,13 +161,18 @@ def parse_pattern(text: str) -> PatternSpec:
         if head == "lfx":
             return LinearForestExact(tuple(int(p) for p in rest.split("+")))
         if head == "lf":
-            fields = dict(item.split("=", 1) for item in rest.split(","))
+            fields: dict[str, str] = {}
+            for item in rest.split(","):
+                key, value = item.split("=", 1)
+                if key in fields:
+                    raise DomainError(f"repeated lf field {key} in {text!r}")
+                fields[key] = value
             min_edges, min_order = int(fields.pop("minedges")), int(fields.pop("minorder", 2))
             if fields:
                 raise DomainError(f"unknown lf field(s) {', '.join(fields)} in {text!r}")
             return LinearForestMin(min_edges, min_order)
     except DomainError:
-        raise  # a constructor's range check, or the leftover fields above
+        raise  # a constructor's range check, or a repeated or leftover field above
     except (ValueError, KeyError):
         pass
     raise DomainError(f"unrecognized pattern {text!r}")

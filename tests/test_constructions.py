@@ -5,6 +5,7 @@ from ramseykit.coloring import EdgeColoring, pair_iter, read_coloring_file
 from ramseykit.constructions import (
     FamilyDescriptor,
     build_family,
+    complete_parts,
     g2_coloring,
     g3_coloring,
     witness_b3_kipas,
@@ -259,3 +260,16 @@ def test_generate_family_matches_its_edge_by_edge_definition(tmp_path):
         parts = ",".join(map(str, sizes))
         assert main(["generate", "--family", family, "--parts", parts, "-o", str(out)]) == 0
         _same(read_coloring_file(out), _complete_parts_by_edge(family, sizes))
+
+
+def test_generate_refuses_a_negative_part_size(tmp_path, capsys):
+    # the error names the negative size, not an overlap of the parts
+    for family in ("bk", "t", "g1"):
+        with pytest.raises(DescriptorError, match="negative part size -1"):
+            complete_parts(family, [3, -1, 2])
+        assert main(["generate", "--family", family, "--parts", "3,-1,2"]) == 2
+        assert capsys.readouterr().err == f"error: {family}: negative part size -1\n"
+    # an empty part is still allowed where the family allows it
+    out = tmp_path / "g1.ecg"
+    assert main(["generate", "--family", "g1", "--parts", "0,2,2", "-o", str(out)]) == 0
+    assert read_coloring_file(out).n_vertices == 4

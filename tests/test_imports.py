@@ -1,0 +1,46 @@
+"""What importing ramseykit keeps alive and loads, each checked in a fresh
+interpreter so that ``sys.modules`` starts clean."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import ramseykit
+
+SRC = str(Path(ramseykit.__file__).resolve().parent.parent)
+
+
+def _run(code: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n" + textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return result.stdout.strip()
+
+
+def test_reimport_releases_the_previous_import():
+    # a benchmark set-up, importlib.reload or notebook autoreload imports the
+    # package again; nothing of the first import may survive the second
+    out = _run("""
+        import gc, weakref
+        import ramseykit
+        from ramseykit import coloring, patterns
+        refs = [weakref.ref(patterns.Path), weakref.ref(coloring.EdgeColoring),
+                weakref.ref(patterns._grow)]
+        del ramseykit, coloring, patterns
+        for name in [m for m in sys.modules if m == "ramseykit" or m.startswith("ramseykit.")]:
+            del sys.modules[name]
+        import ramseykit
+        gc.collect()
+        print([r() is None for r in refs])
+    """)
+    assert out == "[True, True, True]"
+
+
+def test_cli_import_leaves_the_acceptance_suite_unloaded():
+    out = _run("""
+        import ramseykit.cli
+        print("ramseykit.acceptance" in sys.modules)
+    """)
+    assert out == "False"

@@ -1,10 +1,12 @@
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given
 
 from ramseykit import patterns
+from ramseykit.cli import main
 from ramseykit.coloring import EdgeColoring, pair_rank
 from ramseykit.constructions import (
     g3_coloring,
@@ -28,6 +30,7 @@ from ramseykit.patterns import (
     LinearForestMin,
     P4_PLUS,
     Path,
+    PatternSpec,
     Star,
     format_pattern,
     has_mono_pattern,
@@ -80,6 +83,28 @@ def test_pattern_parsing_refuses_unknown_fields_and_keeps_range_errors():
         parse_pattern("k:0")
     with pytest.raises(DomainError, match="min component order must be 2 or 3"):
         parse_pattern("lf:minedges=3,minorder=4")
+
+
+def test_pattern_parsing_refuses_repeated_lf_fields(capsys):
+    # a repeated field is refused, not settled by its last value
+    for text in ("lf:minedges=3,minedges=5", "lf:minedges=3,minorder=3,minorder=2"):
+        with pytest.raises(DomainError, match="repeated lf field"):
+            parse_pattern(text)
+    argv = ["compute", "--quantity", "ramsey", "--red", "lf:minedges=2,minedges=3",
+            "--blue", "path:3", "--max-n", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: repeated lf field minedges in 'lf:minedges=2,minedges=3'\n"
+    )
+
+
+def test_pattern_spec_is_the_union_of_the_seven_kinds():
+    kinds = (Path, Star, Kipas, LinearForestMin, LinearForestExact, CompleteGraph, Explicit)
+    assert typing.get_args(PatternSpec) == kinds
+    examples = (Path(3), Star(3), Kipas(3), LinearForestMin(2, 2), LinearForestExact((2, 2)),
+                CompleteGraph(3), P4_PLUS)
+    for kind, p in zip(kinds, examples):
+        assert type(p) is kind and isinstance(p, PatternSpec)
 
 
 def test_pattern_shapes():
