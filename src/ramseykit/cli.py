@@ -232,8 +232,6 @@ def _cmd_formula(args) -> int:
         if getattr(args, name) is None:
             raise RamseykitError(f"formula {args.id} needs --{name.replace('_', '-')}")
         kwargs[name] = getattr(args, name)
-    if args.id == "path-star" and args.trust_exact:
-        kwargs["trust_exact"] = True
     result = fn(**kwargs)
     _emit(args, {"id": args.id, **_value_payload(result)}, _value_lines(result))
     return 0
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--odd1", type=int)
     p.add_argument("--size2", type=int)
     p.add_argument("--odd2", type=int)
-    p.add_argument("--trust-exact", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_formula)
 

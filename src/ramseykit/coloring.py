@@ -182,16 +182,7 @@ class ColorClass:
         return self.host.n_vertices
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n_vertices):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u, v in pair_iter(self.n_vertices) if self.adj[u] >> v & 1]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2

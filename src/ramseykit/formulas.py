@@ -89,16 +89,22 @@ def r_linear_forests(size1: int, odd1: int, size2: int, odd2: int) -> ValueOrInt
     )
 
 
-def r_path_star(m: int, n: int, trust_exact: bool = False) -> ValueOrInterval:
+def r_path_star(m: int, n: int) -> ValueOrInterval:
     """r(P_m, K_{1,n}): only the envelope [m+n-2, m+n-1] is safe to state.
 
     The published branch condition is vacuous (it holds for every n >= 2),
-    so without ``trust_exact`` the result is the two-branch interval.
+    so the result is the two-branch interval.  Exhaustive search puts the
+    value below the envelope at (m, n) = (5,3), (6,3), (6,4), (7,3), (7,4),
+    (7,5), (8,3) and (8,4), so the envelope is stated only where search
+    confirms it: n = 2, or m <= n + 1.
     """
     if m < 2 or n < 2:
         raise DomainError("need m, n >= 2")
-    if trust_exact:
-        return exact(m + n - 1)
+    if n >= 3 and m >= n + 2:
+        raise DomainError(
+            f"no formula covers m={m}, n={n}: for n >= 3 and m >= n+2 the envelope"
+            " [m+n-2, m+n-1] misses the value found by exhaustive search"
+        )
     return interval(
         m + n - 2,
         m + n - 1,
@@ -131,15 +137,20 @@ def r_path_kipas(n: int, m: int) -> ValueOrInterval:
 
 
 def r_star_kipas(n: int, m: int) -> ValueOrInterval:
-    """r(K_{1,n}, kipas of path order m); exact for all m, n >= 2."""
+    """r(K_{1,n}, kipas of path order m); exact for all m, n >= 2.
+
+    For m < 2n the value is 2n + floor(m/2) - 1 when n and floor(m/2) are
+    both even, else 2n + floor(m/2).
+    """
     if m < 2 or n < 2:
         raise DomainError("need m, n >= 2")
     if m >= 2 * n:
         return exact(m + n - 1 if m % 2 == 0 and n % 2 == 0 else m + n)
     half = m // 2
-    if m % 2 == 0 and half % 2 == 0:
-        return exact(2 * n + half - 1)
-    return exact(2 * n + half)
+    return exact(
+        2 * n + half - 1 if n % 2 == 0 and half % 2 == 0 else 2 * n + half,
+        caveat="m < 2n: parity condition corrected against exhaustive search",
+    )
 
 
 def r_kipas_linear_family(n: int, m: int, min_component: int = 2) -> ValueOrInterval:

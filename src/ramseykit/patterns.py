@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .coloring import EdgeColoring, pair_rank
+from .coloring import EdgeColoring, pair_iter, pair_rank
 from .errors import CapabilityError, DomainError
 
 # Subset DP tables above this size would not fit in memory anyway.
@@ -400,21 +400,17 @@ def greedy_forest_edges(n: int, adj: Sequence[int], min_order: int) -> int:
     for s in range(n):
         if (used >> s) & 1:
             continue
-        comp = [s]
         used |= 1 << s
-        for endpoint in (0, -1):
-            while True:
-                ext = adj[comp[endpoint]] & ~used
-                if not ext:
-                    break
+        order = 1
+        # grow from s one way, then from s the other way
+        for _ in range(2):
+            v = s
+            while ext := adj[v] & ~used:
                 v = (ext & -ext).bit_length() - 1
                 used |= 1 << v
-                if endpoint == 0:
-                    comp.insert(0, v)
-                else:
-                    comp.append(v)
-        if len(comp) >= min_order:
-            total += len(comp) - 1
+                order += 1
+        if order >= min_order:
+            total += order - 1
     return total
 
 
@@ -445,48 +441,22 @@ def max_linear_forest_edges(
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Exact maximum edge count of a linear forest, with chosen components.
 
-    Branch and bound over edges with degree-<=2 and acyclicity pruning plus a
-    degree-capacity upper bound.  Deterministic: edges are considered in
-    lexicographic order and the first optimum found is kept.
+    Branch and bound over edges with degree-<=2 and acyclicity pruning plus an
+    edges-left upper bound.  Deterministic: edges are considered in
+    lexicographic order, each taken before it is skipped, and the first
+    optimum found is kept, so the components are those of the
+    lexicographically least maximum edge set.
     """
-    edges = []
-    for u in range(n):
-        row = adj[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
-                edges.append((u, v))
-            row >>= 1
-            v += 1
+    edges = [(u, v) for u, v in pair_iter(n) if adj[u] >> v & 1]
     m = len(edges)
     degree = [0] * n
-    # union-find without path compression so single unions undo cleanly
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
+    # end[v]: the far end of the path ending at v (v itself when v is alone);
+    # read only while v has degree below 2
+    end = list(range(n))
     best_count = 0
     best_edges: list[tuple[int, int]] = []
     chosen: list[tuple[int, int]] = []
     nodes = 0
-
-    def components_ok() -> bool:
-        if min_order == 2:
-            return True
-        # no component may be a single edge
-        by_root: dict[int, int] = {}
-        for u, v in chosen:
-            r = find(u)
-            by_root[r] = by_root.get(r, 0) + 1
-        return all(cnt >= 2 for cnt in by_root.values())
-
-    def bound(i: int) -> int:
-        # a linear forest on n vertices has at most n - 1 edges
-        cap = sum(2 - degree[v] for v in range(n) if degree[v] < 2)
-        return min(len(chosen) + min(m - i, cap // 2), n - 1)
 
     def rec(i: int):
         nonlocal best_count, best_edges, nodes
@@ -496,15 +466,21 @@ def max_linear_forest_edges(
                 f"linear forest search exceeded {node_budget} nodes",
                 partial=(best_count, tuple(best_edges)),
             )
-        if len(chosen) > best_count and components_ok():
+        # with order-3 components, a lone edge (both ends of degree 1) is
+        # the only component too small
+        if len(chosen) > best_count and (
+            min_order == 2 or all(degree[u] == 2 or degree[v] == 2 for u, v in chosen)
+        ):
             best_count = len(chosen)
             best_edges = list(chosen)
-        if i == m or bound(i) <= best_count:
+        # a linear forest on n vertices has at most n - 1 edges, which also
+        # covers the degree capacity: 2n - 2 len(chosen) free degree left
+        if i == m or min(len(chosen) + m - i, n - 1) <= best_count:
             return
         u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if degree[u] < 2 and degree[v] < 2 and ru != rv:
-            parent[ru] = rv
+        if degree[u] < 2 and degree[v] < 2 and end[u] != v:
+            a, b = end[u], end[v]
+            end[a], end[b] = b, a
             degree[u] += 1
             degree[v] += 1
             chosen.append((u, v))
@@ -512,12 +488,11 @@ def max_linear_forest_edges(
             chosen.pop()
             degree[u] -= 1
             degree[v] -= 1
-            parent[ru] = ru
+            end[a], end[b] = u, v
         rec(i + 1)
 
     rec(0)
-    comps = _edges_to_components(best_edges)
-    return best_count, comps
+    return best_count, _edges_to_components(best_edges)
 
 
 def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:

@@ -29,7 +29,7 @@ def test_path_kipas_formula_by_search(n, m):
     assert rep.value.value == want
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4)])
 def test_star_kipas_formula_by_search(n, m):
     want = r_star_kipas(n, m).value
     rep = brute_force_ramsey(Star(n), Kipas(m), max(want, m + 1))

@@ -74,13 +74,20 @@ def test_path_star_is_an_interval_with_caveat():
     assert (iv.lo, iv.hi) == (5, 6) and iv.caveat
     assert r_path_star(2, 2).hi == 3
     assert r_path_star(3, 2).lo == 3
-    assert r_path_star(4, 3, trust_exact=True).value == 6
     # brute force resolves the small cases inside the interval
     from ramseykit.patterns import Star
 
     for m, n in ((2, 2), (3, 2), (4, 3)):
         rep = brute_force_ramsey(Path(m), Star(n), 7)
         assert rep.value.value in r_path_star(m, n)
+
+
+def test_path_star_refuses_where_the_envelope_misses():
+    # exhaustive search puts r(P_m, K_{1,n}) below [m+n-2, m+n-1] at each point
+    for m, n in ((5, 3), (6, 3), (6, 4), (7, 3), (7, 4), (7, 5), (8, 3), (8, 4)):
+        with pytest.raises(DomainError, match="envelope"):
+            r_path_star(m, n)
+    assert r_path_star(9, 2).lo == 9  # r(P_m, P_3) = m
 
 
 def test_star_star_examples():

@@ -5,7 +5,7 @@ import typing
 import pytest
 from hypothesis import given
 
-from ramseykit import patterns
+from ramseykit import naive, patterns
 from ramseykit.cli import main
 from ramseykit.coloring import EdgeColoring, pair_rank
 from ramseykit.constructions import (
@@ -230,6 +230,41 @@ def test_max_linear_forest_stops_at_a_spanning_path():
         edges, witness = max_linear_forest(coloring, c, 3)
         assert edges == witness.edge_count == 11
         verify_forest_witness(coloring, witness, 3)
+
+
+def test_max_linear_forest_returns_the_lexicographically_least_maximum():
+    # the witness is the lexicographically least maximum edge set, found
+    # here by enumerating edge subsets, largest first (a linear forest has
+    # at most n - 1 edges), in combinations order
+    rng = random.Random("forest-lex-least")
+    for _ in range(300):
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        coloring = EdgeColoring(n, k, [rng.randint(1, k) for _ in range(n * (n - 1) // 2)])
+        for c in range(1, k + 1):
+            edges = [e for e in itertools.combinations(range(n), 2) if coloring.color_of(*e) == c]
+            for mo in (2, 3):
+                least = next(
+                    (s for size in range(min(len(edges), n - 1), 0, -1)
+                     for s in itertools.combinations(edges, size)
+                     if naive._is_linear_forest(s, mo)),
+                    (),
+                )
+                count, witness = max_linear_forest(coloring, c, mo)
+                assert count == len(least)
+                assert witness.components == patterns._edges_to_components(least)
+
+
+def test_max_linear_forest_abort_carries_the_best_edges_so_far():
+    # the budget stops the search part way: the partial is the best edge
+    # set it has found, so it pins the traversal order
+    rng = random.Random("forest-abort")
+    coloring = EdgeColoring(20, 2, [1 if rng.random() < 0.2 else 2 for _ in range(190)])
+    with pytest.raises(CapabilityError, match="exceeded 50000 nodes") as exc:
+        max_linear_forest_edges(20, coloring.adjacency(1), 3, node_budget=50_000)
+    assert exc.value.partial == (18, (
+        (0, 2), (0, 8), (1, 4), (1, 16), (2, 6), (4, 11), (5, 7), (5, 8), (6, 14),
+        (7, 10), (9, 15), (9, 17), (10, 13), (11, 15), (12, 18), (12, 19), (13, 17), (14, 18),
+    ))
 
 
 def test_min_edges_forest_goes_through_max_linear_forest():
