@@ -452,6 +452,10 @@ def gr_desk_verify(
         f"gr(k={k}, rainbow {format_pattern(rainbow)} : {format_pattern(target)}, n={n}, {mode})"
     )
     if mode == "full":
+        if k < 1:
+            raise DomainError(f"full enumeration needs k >= 1, got {k}")
+        if n < 0:
+            raise DomainError(f"full enumeration needs N >= 0, got {n}")
         feasible = k ** (n * (n - 1) // 2)
         if feasible > 10 ** 9:
             raise CapabilityError(

@@ -4,13 +4,15 @@
 a coloring without that rainbow pattern must take: the dominant-color form
 (the supports of all non-dominant colors are pairwise disjoint), a handful
 of small exceptional shapes built around at most four special vertices, and
-the g1/g2/g3 families.  "After renumbering the colors" is implemented as an
-explicit search over candidate dominant colors and color-role assignments.
+the g1/g2/g3 families, each under any color names.
 
 ``CONTEXTS`` is the one place that knows a case list: for each rainbow
 context, its pattern, its least number of colors and its rows.  ``SHAPES``
 holds each row's allowed-colors builder, which the search engines scan, beside
-its matcher.
+its matcher.  The builder is the only statement of a shape: a matcher reads
+candidate roles off the coloring, its special vertices in order and which
+color plays which part, and ``_fits`` confirms that the coloring so relabelled
+and renamed is allowed by the row's builder.
 """
 
 from __future__ import annotations
@@ -107,123 +109,125 @@ def _match_clique_plus_vertex(coloring: EdgeColoring) -> FamilyDescriptor | None
     return None
 
 
-def _match_hub_triple(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """Two singleton color classes ab, ac at a hub a; a fourth color owns bc
-    plus possibly more a-incident edges; everything else one color."""
+def _classes(coloring: EdgeColoring, size: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(color, edges) of each color class of ``size`` edges, colors ascending."""
+    classes = (coloring.color_class(c).edges() for c in range(1, coloring.n_colors + 1))
+    return [(c, es) for c, es in enumerate(classes, 1) if len(es) == size]
+
+
+def _fits(coloring: EdgeColoring, label: str, order, rename: dict[int, int]) -> bool:
+    """Does some allowed list of the row ``label`` allow every edge, read
+    through the roles a matcher found?
+
+    Host vertex ``order[i]`` is read as the builder's vertex i, the vertices
+    ``order`` leaves out following in ascending order, and host color c as
+    ``rename.get(c, 1)``: color 1 is each row's background.  The renaming
+    must be one to one on the colors in use; the row is built for the
+    largest color it names.
+    """
+    used = coloring.colors_used()
+    if len({rename.get(c, 1) for c in used}) < len(used):
+        return False
     n = coloring.n_vertices
-    if coloring.n_colors < 4 or n < 3:
-        return None
-    class_edges = {c: coloring.color_class(c).edges() for c in range(1, coloring.n_colors + 1)}
-    singles = [c for c, es in class_edges.items() if len(es) == 1]
-    for c2 in singles:
-        for c3 in singles:
-            if c3 == c2:
-                continue
-            (u1, v1), = class_edges[c2]
-            (u2, v2), = class_edges[c3]
-            shared = {u1, v1} & {u2, v2}
-            if len(shared) != 1:
-                continue
-            a = shared.pop()
-            b = ({u1, v1} - {a}).pop()
-            c = ({u2, v2} - {a}).pop()
-            bc = (min(b, c), max(b, c))
-            c4 = coloring.color_of(*bc)
-            if c4 in (c2, c3):
-                continue
-            e4 = class_edges[c4]
-            if any(e != bc and a not in e for e in e4):
-                continue
-            remaining = [
-                cc
-                for cc, es in class_edges.items()
-                if es and cc not in (c2, c3, c4)
-            ]
-            if len(remaining) != 1:
-                continue
-            return FamilyDescriptor("hub-triple", n, special=(a, b, c))
+    order = list(order) + [v for v in range(n) if v not in order]
+    read = [rename.get(coloring.color_of(order[i], order[j]), 1) for i, j in pair_iter(n)]
+    return any(
+        all(c in choices for c, choices in zip(read, allowed))
+        for allowed in SHAPES[label][0](n, max(rename.values()))
+    )
+
+
+def _match_hub_triple(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """Ordered pairs of one-edge classes ab, ac meeting at the hub a, colors
+    ascending; bc carries the row's color 4."""
+    for (c2, [ab]), (c3, [ac]) in permutations(_classes(coloring, 1), 2):
+        shared = set(ab) & set(ac)
+        if len(shared) != 1:
+            continue
+        (a,) = shared
+        b, c = sum(ab) - a, sum(ac) - a
+        if _fits(coloring, CASE_HUB_TRIPLE, (a, b, c), {c2: 2, c3: 3, coloring.color_of(b, c): 4}):
+            return FamilyDescriptor(CASE_HUB_TRIPLE, coloring.n_vertices, special=(a, b, c))
     return None
 
 
 def _match_matched_quad(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """Four vertices a,b,c,d with classes {ab}(+cd), {ac,bd}, {ad,bc}; rest one color."""
-    n = coloring.n_vertices
-    if coloring.n_colors < 4 or n < 4:
-        return None
-    class_edges = {c: coloring.color_class(c).edges() for c in range(1, coloring.n_colors + 1)}
-    pair_classes = [c for c, es in class_edges.items() if len(es) == 2]
-    for c3 in pair_classes:
-        (e1, e2) = class_edges[c3]
-        if set(e1) & set(e2):
+    """Ordered pairs of two-edge matchings {ac, bd}, {ad, bc} on one quad,
+    colors ascending, with a the least quad vertex; ab carries the row's
+    color 2, or else cd under the swapped pairing."""
+    matchings = [(c, es) for c, es in _classes(coloring, 2) if not set(es[0]) & set(es[1])]
+    for (c3, m3), (c4, m4) in permutations(matchings, 2):
+        quad = sorted({*m3[0], *m3[1]})
+        if quad != sorted({*m4[0], *m4[1]}):
             continue
-        quad = sorted(set(e1) | set(e2))
-        for c4 in pair_classes:
-            if c4 == c3:
-                continue
-            if sorted(set(class_edges[c4][0]) | set(class_edges[c4][1])) != quad:
-                continue
-            if set(class_edges[c4][0]) & set(class_edges[c4][1]):
-                continue
-            # determine a,b,c,d: c3 = {ac, bd}, c4 = {ad, bc}; c2 holds ab (+ cd)
-            a = quad[0]
-            cc = next(v for e in class_edges[c3] for v in e if a in e and v != a)
-            d = next(v for e in class_edges[c4] for v in e if a in e and v != a)
-            b = next(v for v in quad if v not in (a, cc, d))
-            # the singleton-color edge is ab or cd; swapping the pairs keeps c3, c4
-            for a, b, cc, d in ((a, b, cc, d), (cc, d, a, b)):
-                ab = (min(a, b), max(a, b))
-                cd = (min(cc, d), max(cc, d))
-                c2 = coloring.color_of(*ab)
-                if c2 in (c3, c4):
-                    continue
-                if not ({ab} <= set(class_edges[c2]) <= {ab, cd}):
-                    continue
-                remaining = [x for x, es in class_edges.items() if es and x not in (c2, c3, c4)]
-                if len(remaining) != 1:
-                    continue
-                c1 = remaining[0]
-                special_edges = {ab, cd} | set(class_edges[c3]) | set(class_edges[c4])
-                ok = all(
-                    (min(u, v), max(u, v)) in special_edges
-                    or coloring.color_of(u, v) == c1
-                    for u, v in pair_iter(n)
-                )
-                if ok:
-                    return FamilyDescriptor("matched-quad", n, special=(a, b, cc, d))
+        a = quad[0]
+        c = next(sum(e) - a for e in m3 if a in e)
+        d = next(sum(e) - a for e in m4 if a in e)
+        b = sum(quad) - a - c - d
+        for order in ((a, b, c, d), (c, d, a, b)):
+            rename = {coloring.color_of(*order[:2]): 2, c3: 3, c4: 4}
+            if _fits(coloring, CASE_MATCHED_QUAD, order, rename):
+                return FamilyDescriptor(CASE_MATCHED_QUAD, coloring.n_vertices, special=order)
     return None
 
 
 def _match_sporadic_5(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """The exceptional 5-vertex coloring: three perfect-matching-plus-edge
-    classes of size 3 and one singleton class."""
+    """The one-edge class de, each other vertex r named by the color of rd."""
+    singles = _classes(coloring, 1)
+    if len(singles) != 1:
+        return None
+    ((c4, [(d, e)]),) = singles
+    rest = [v for v in range(coloring.n_vertices) if v not in (d, e)]
+    rename = {coloring.color_of(r, d): i for i, r in enumerate(rest, 1)}
+    if _fits(coloring, CASE_SPORADIC_5, rest + [d, e], rename | {c4: 4}):
+        return FamilyDescriptor(CASE_SPORADIC_5, 5, special=(d, e))
+    return None
+
+
+def _match_g2(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """xy a one-edge class, colors ascending, and x the end whose other
+    edges carry the smaller color."""
     n = coloring.n_vertices
-    if n != 5 or coloring.n_colors < 4:
+    if n < 3:
         return None
-    class_edges = {c: coloring.color_class(c).edges() for c in range(1, coloring.n_colors + 1)}
-    sizes = sorted(len(es) for es in class_edges.values() if es)
-    if sizes != [1, 3, 3, 3]:
+    for c2, [(u, v)] in _classes(coloring, 1):
+        z = next(w for w in range(n) if w not in (u, v))
+        x, y = (u, v) if coloring.color_of(u, z) < coloring.color_of(v, z) else (v, u)
+        rename = {c2: 2, coloring.color_of(x, z): 3, coloring.color_of(y, z): 4}
+        if _fits(coloring, CASE_G2, (x, y), rename):
+            return FamilyDescriptor(CASE_G2, n, special=(x, y))
+    return None
+
+
+def _match_g3(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """ab, bc and ac the three one-edge classes in ascending color order."""
+    singles = _classes(coloring, 1)
+    if len(singles) != 3:
         return None
-    single = next(c for c, es in class_edges.items() if len(es) == 1)
-    d, e = class_edges[single][0]
-    rest = [v for v in range(5) if v not in (d, e)]
-    # each size-3 class must be {xy, xd', ye'} with {x,y,?} = rest pattern:
-    # class i pairs the edge inside `rest` opposite to vertex i with a matching
-    for c, es in class_edges.items():
-        if c == single:
-            continue
-        touching = {v for edge in es for v in edge}
-        if len(touching) != 5:
-            return None
-        inner = [edge for edge in es if edge[0] in rest and edge[1] in rest]
-        if len(inner) != 1:
-            return None
-        matched = [edge for edge in es if edge not in inner]
-        if {v for edge in matched for v in edge if v in (d, e)} != {d, e}:
-            return None
-        apex = ({*rest} - set(inner[0])).pop()
-        if not all(apex in edge for edge in matched):
-            return None
-    return FamilyDescriptor("sporadic-5", 5, special=(d, e))
+    (c2, [ab]), (c3, [bc]), (c4, _) = singles
+    shared = set(ab) & set(bc)
+    if len(shared) != 1:
+        return None
+    (b,) = shared
+    a, c = sum(ab) - b, sum(bc) - b
+    if _fits(coloring, CASE_G3, (a, b, c), {c2: 2, c3: 3, c4: 4}):
+        return FamilyDescriptor(CASE_G3, coloring.n_vertices, special=(a, b, c))
+    return None
+
+
+def _match_g1(coloring: EdgeColoring) -> FamilyDescriptor | None:
+    """g1 after renumbering the used colors onto 1, 2, 3 in ascending order.
+
+    One renumbering is enough: renaming the colors permutes ``_T_INTERNAL``'s
+    three pairs, that is the three parts, so when any renumbering admits a
+    split the ascending one does too.
+    """
+    used = sorted(coloring.colors_used())
+    if len(used) != 3:
+        return None
+    rename = {c: i for i, c in enumerate(used, 1)}
+    renamed = EdgeColoring(coloring.n_vertices, 3, [rename[c] for c in coloring.colors])
+    return three_part_descriptor(renamed, allow_empty=1)
 
 
 def three_part_descriptor(
@@ -279,15 +283,9 @@ def three_part_descriptor(
     return FamilyDescriptor("t" if all(parts) else "g1", n, parts=parts)
 
 
-def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) -> FamilyDescriptor | None:
-    """A witnessing descriptor iff some partition satisfies the family clauses.
-
-    ``require_exact`` additionally demands every declared color appear.
-    """
-    if require_exact and coloring.colors_used() != frozenset(
-        range(1, coloring.n_colors + 1)
-    ):
-        return None
+def is_member(coloring: EdgeColoring, family: str) -> FamilyDescriptor | None:
+    """A witnessing descriptor iff the coloring is a member of the family
+    under its literal colors."""
     if family == "bk":
         # the dominant-color form with the literal color 1 dominant
         parts = _dominant_parts(coloring, 1) if coloring.n_colors >= 3 else None
@@ -299,43 +297,13 @@ def is_member(coloring: EdgeColoring, family: str, require_exact: bool = False) 
         return got if got and got.family == "t" else None
     if family == "g1":
         return three_part_descriptor(coloring, allow_empty=1)
-    if family == "g2":
-        return _g2_descriptor(coloring)
-    if family == "g3":
-        return _g3_descriptor(coloring)
+    if family in (CASE_G2, CASE_G3):
+        match, build = (_match_g2, g2_coloring) if family == CASE_G2 else (_match_g3, g3_coloring)
+        got = match(coloring)
+        if got is None or coloring.colors != build(coloring.n_vertices, *got.special).colors:
+            return None
+        return got
     raise DomainError(f"unknown family {family!r}")
-
-
-def _g2_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """g2 with (x, y) the single color-2 edge, in either order."""
-    n = coloring.n_vertices
-    if coloring.n_colors < 4 or n < 3:
-        return None
-    two = coloring.color_class(2).edges()
-    if len(two) != 1:
-        return None
-    for x, y in (two[0], two[0][::-1]):
-        if coloring.colors == g2_coloring(n, x, y).colors:
-            return FamilyDescriptor("g2", n, special=(x, y))
-    return None
-
-
-def _g3_descriptor(coloring: EdgeColoring) -> FamilyDescriptor | None:
-    """g3 with ab and bc the single color-2 and color-3 edges."""
-    n = coloring.n_vertices
-    if coloring.n_colors < 4 or n < 3:
-        return None
-    ab, bc = coloring.color_class(2).edges(), coloring.color_class(3).edges()
-    if len(ab) != 1 or len(bc) != 1:
-        return None
-    shared = set(ab[0]) & set(bc[0])
-    if len(shared) != 1:
-        return None
-    (b,) = shared
-    a, c = sum(ab[0]) - b, sum(bc[0]) - b  # the other ends
-    if coloring.colors != g3_coloring(n, a, b, c).colors:
-        return None
-    return FamilyDescriptor("g3", n, special=(a, b, c))
 
 
 # --- the case-list rows as searchable families -----------------------------------
@@ -401,8 +369,8 @@ def _hub_triple_allowed(n: int, k: int):
 
 def _matched_quad_allowed(n: int, k: int):
     """Special vertices 0..3; the color-2 class is {01} or {01, 23}."""
-    if k != 4 or n < 5:
-        return  # color 1 would be empty, so never an exact 4-coloring
+    if k != 4 or n < 4:
+        return
     yield _color1_except(
         n, {(0, 1): (2,), (2, 3): (1, 2), (0, 2): (3,), (1, 3): (3,), (0, 3): (4,), (1, 2): (4,)}
     )
@@ -419,10 +387,11 @@ def _sporadic_5_allowed(n: int, k: int):
 
 
 def _fixed_allowed(build):
-    """Builder for a shape with one member per size n >= 4 (k = 4 only)."""
+    """Builder for a shape with one member per size n >= 3 (k = 4 only); on
+    K_3 it has no color-1 edge, so it is never exact there."""
 
     def allowed(n: int, k: int):
-        if k == 4 and n >= 4:
+        if k == 4 and n >= 3:
             yield [(c,) for c in build(n).colors]
 
     return allowed
@@ -430,14 +399,14 @@ def _fixed_allowed(build):
 
 # label -> (allowed-colors builder, matcher)
 SHAPES = {
-    "bk": (_bk_allowed, lambda coloring: is_member(coloring, "bk")),
-    "t": (_t_allowed, lambda coloring: is_member(coloring, "t")),
+    "bk": (_bk_allowed, dominant_descriptor),
+    "t": (_t_allowed, _match_g1),
     CASE_CLIQUE_PLUS_VERTEX: (_clique_plus_vertex_allowed, _match_clique_plus_vertex),
     CASE_HUB_TRIPLE: (_hub_triple_allowed, _match_hub_triple),
     CASE_MATCHED_QUAD: (_matched_quad_allowed, _match_matched_quad),
     CASE_SPORADIC_5: (_sporadic_5_allowed, _match_sporadic_5),
-    CASE_G2: (_fixed_allowed(g2_coloring), _g2_descriptor),
-    CASE_G3: (_fixed_allowed(g3_coloring), _g3_descriptor),
+    CASE_G2: (_fixed_allowed(g2_coloring), _match_g2),
+    CASE_G3: (_fixed_allowed(g3_coloring), _match_g3),
 }
 
 # context -> (rainbow pattern, least k, its case list as SHAPES rows in scan order)
@@ -452,18 +421,10 @@ CONTEXTS = {
 }
 
 
-def _color_permutations(coloring: EdgeColoring, target_k: int):
-    """Colorings obtained by renumbering the used colors onto 1..target_k."""
-    used = sorted(coloring.colors_used())
-    if len(used) > target_k:
-        return
-    for perm in permutations(range(1, target_k + 1), len(used)):
-        mapping = dict(zip(used, perm))
-        yield EdgeColoring(
-            coloring.n_vertices,
-            target_k,
-            [mapping[c] for c in coloring.colors],
-        )
+# classify reports these rows under their case names
+_CASE_OF_ROW = {"bk": CASE_DOMINANT, "t": CASE_G1}
+# rows that classify tries after a context's search rows
+_CLASSIFY_ONLY = {"p4plus": (CASE_CLIQUE_PLUS_VERTEX,)}
 
 
 def classify_structure(
@@ -474,20 +435,17 @@ def classify_structure(
     ``rainbow_context`` is one of ``p5``, ``k13``, ``p4plus``.  Returns the
     first matching case with its descriptor, else (``unclassified``, None).
 
-    The dominant-color form comes first in every context; it is the ``bk``
-    row under any color names.  Then each context tries:
+    The cases are the rows ``CONTEXTS`` lists for the context, tried in
+    order through their ``SHAPES`` matchers, which take any color names.
+    The ``bk`` row, first in every context, is the dominant-color form and
+    is reported as ``dominant``; the ``t`` row is reported as ``g1``.
 
-    * ``p5``: its ``CONTEXTS`` rows after ``bk``, whose matchers take any
-      color names.
-    * ``k13``: g1 after renumbering the used colors onto 1, 2, 3 in
-      ascending order, where ``CONTEXTS`` has the ``t`` row.  The search
-      tracks the target in every color, so one naming of each t member
-      suffices there; a coloring to classify comes in any naming, and g1's
-      empty part adds nothing the dominant form misses.  One renumbering is
-      enough: renaming the colors permutes ``_T_INTERNAL``'s three pairs,
-      that is the three parts, so when any renumbering admits a split the
-      ascending one does too.
-    * ``p4plus``: g2, then g3, after renumbering, then clique-plus-vertex,
+    * ``k13``: the ``t`` row's matcher is g1 after renumbering the used
+      colors onto 1, 2, 3.  The search tracks the target in every color, so
+      one naming of each t member suffices there; a coloring to classify
+      comes in any naming, and g1's empty part adds nothing the dominant
+      form misses.
+    * ``p4plus``: after its rows, classify also tries clique-plus-vertex,
       which ``CONTEXTS`` leaves out.  Its members are free of a rainbow
       P_4^+ only on K_4: none of the 6 exact ones there holds one, while all
       60 on K_5 and all 390 on K_6 do.  Structure mode starts at K_5, the
@@ -501,33 +459,10 @@ def classify_structure(
         raise DomainError(
             f"context {rainbow_context} needs at least {minimum} colors in use, got {k_used}"
         )
-    d = dominant_descriptor(coloring)
-    if d is not None:
-        return CASE_DOMINANT, d
-    if rainbow_context == "p5":
-        # the bk row never matches here: its members are dominant
-        for label in rows:
-            got = SHAPES[label][1](coloring)
-            if got is not None:
-                return label, got
-    elif rainbow_context == "k13":
-        if k_used == 3:
-            got = three_part_descriptor(next(_color_permutations(coloring, 3)), allow_empty=1)
-            if got is not None:
-                return CASE_G1, got
-    else:  # p4plus
-        if k_used == 4:
-            for renumbered in _color_permutations(coloring, 4):
-                got = _g2_descriptor(renumbered)
-                if got is not None:
-                    return CASE_G2, got
-            for renumbered in _color_permutations(coloring, 4):
-                got = _g3_descriptor(renumbered)
-                if got is not None:
-                    return CASE_G3, got
-        got = _match_clique_plus_vertex(coloring)
+    for label in rows + _CLASSIFY_ONLY.get(rainbow_context, ()):
+        got = SHAPES[label][1](coloring)
         if got is not None:
-            return CASE_CLIQUE_PLUS_VERTEX, got
+            return _CASE_OF_ROW.get(label, label), got
     return UNCLASSIFIED, None
 
 

@@ -319,3 +319,45 @@ def test_selftest_catches_a_broken_path_search(monkeypatch, capsys):
     result = run_criterion("oracle-equivalence", seed=0)
     assert not result.passed
     assert "longest path disagrees" in result.detail
+
+
+# one valid call per command, with the integer options to set to 0 and -1 in turn
+_INTEGER_CALLS = [
+    (["grverify", "--k", "3", "--rainbow", "k13", "--target", "path:4", "--N", "4",
+      "--mode", "full", "--budget", "100000"], ("--k", "--N", "--budget")),
+    (["grverify", "--k", "4", "--rainbow", "p5", "--target", "path:6", "--N", "5",
+      "--budget", "100000"], ("--k", "--N", "--budget")),
+    (["compute", "--quantity", "bk", "--k", "3", "--target", "path:4", "--max-n", "6",
+      "--budget", "100000"], ("--k", "--max-n", "--budget")),
+    (["compute", "--quantity", "ramsey", "--red", "path:3", "--blue", "path:3",
+      "--max-n", "4", "--budget", "100000"], ("--max-n", "--budget")),
+    (["check", "--lemma", "3.1i", "--n", "4"], ("--n",)),
+    (["check", "--lemma", "3.2", "--n", "12", "--a", "3", "--samples", "20", "--seed", "0"],
+     ("--n", "--a", "--samples", "--seed")),
+    (["generate", "--family", "bk-path-witness", "--n", "5", "--k", "3"], ("--n", "--k")),
+    (["generate", "--family", "kipas-linear-witness", "--n", "4", "--m", "2"], ("--n", "--m")),
+] + [
+    (["generate", "--family", family, "--n", "5"], ("--n",))
+    for family in ("g2", "g3", "t-path-witness", "b3-kipas-witness")
+]
+
+
+def test_out_of_range_integers_exit_cleanly(capsys):
+    # 0 and -1 in every integer option: an answer (0 or 1) or a refusal (2),
+    # never a traceback, which would end in exit 1 and read as an answer
+    from ramseykit.formulas import FORMULAS
+
+    values = {"k": 4, "n": 6, "m": 4, "min_component": 2, "size1": 4, "odd1": 0, "size2": 4, "odd2": 0}
+    calls = list(_INTEGER_CALLS)
+    for ident, (_, params) in FORMULAS.items():
+        argv = ["formula", "--id", ident]
+        for name in params:
+            argv += [f"--{name.replace('_', '-')}", str(values[name])]
+        calls.append((argv, tuple(f"--{name.replace('_', '-')}" for name in params)))
+    for argv, options in calls:
+        for option in options:
+            for value in ("0", "-1"):
+                bad = list(argv)
+                bad[bad.index(option) + 1] = value
+                assert main(bad) in (0, 1, 2), bad
+    capsys.readouterr()

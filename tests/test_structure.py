@@ -81,7 +81,6 @@ def test_is_member_examples():
 
     all_red = EdgeColoring.constant(5, 1, n_colors=3)
     assert is_member(all_red, "bk") is not None
-    assert is_member(all_red, "bk", require_exact=True) is None
 
     assert is_member(g2_coloring(6), "g2") is not None
     assert is_member(g2_coloring(6), "g3") is None
@@ -125,7 +124,7 @@ def test_classify_g2_g3():
     assert label == CASE_G2 and d.special == (0, 1)
     label, d = classify_structure(g3_coloring(6), "p4plus")
     assert label == CASE_G3 and d.special == (0, 1, 2)
-    # renumbered colors still classify through role search
+    # renumbered colors still classify: the matcher reads the color roles
     g = g2_coloring(6)
     remap = {1: 4, 2: 3, 3: 2, 4: 1}
     renamed = EdgeColoring(6, 4, [remap[c] for c in g.colors])
@@ -134,7 +133,7 @@ def test_classify_g2_g3():
 
 
 def test_g2_g3_matchers_recover_every_special_tuple():
-    # the matchers rebuild the member from the special vertices they read off
+    # is_member rebuilds the member from the special vertices the matcher reads off
     for x, y in itertools.permutations(range(5), 2):
         g2 = g2_coloring(5, x, y)
         assert is_member(g2, "g2").special == (x, y) and is_member(g2, "g3") is None
@@ -311,6 +310,27 @@ def test_shape_table_round_trip():
             assert seen, (context, label)
 
 
+def test_matched_quad_row_lists_its_k4_members():
+    # cd may take color 1, so the row has exact members on K_4 too; they are,
+    # up to relabelling and renaming, the 72 exact 4-colorings of K_4 that
+    # classify as matched-quad
+    members = _members(CASE_MATCHED_QUAD, 4)
+    assert members
+    orbit = {
+        tuple(names[c - 1] for c in _relabel(coloring, perm).colors)
+        for coloring in members
+        for perm in itertools.permutations(range(4))
+        for names in itertools.permutations((1, 2, 3, 4))
+    }
+    classified = {
+        colors
+        for colors in itertools.product((1, 2, 3, 4), repeat=6)
+        if len(set(colors)) == 4
+        and classify_structure(EdgeColoring(4, 4, colors), "p5")[0] == CASE_MATCHED_QUAD
+    }
+    assert classified == orbit and len(orbit) == 72
+
+
 def _family_members(family, sizes, pairs):
     """build_family over every internal choice from ``pairs``, on consecutive
     parts of these sizes: the colors of each member, in lexicographic order."""
@@ -368,6 +388,84 @@ def _k13_six_way(coloring):
     return UNCLASSIFIED, None
 
 
+def _literal_g(coloring, case):
+    """g2 or g3 under the literal colors: the special vertices read from the
+    single color-2 (and color-3) edge, the member rebuilt and compared."""
+    n = coloring.n_vertices
+    two = coloring.color_class(2).edges()
+    if len(two) != 1:
+        return None
+    if case == CASE_G2:
+        candidates, build = (two[0], two[0][::-1]), g2_coloring
+    else:
+        three = coloring.color_class(3).edges()
+        shared = set(two[0]) & set(three[0]) if len(three) == 1 else set()
+        if len(shared) != 1:
+            return None
+        (b,) = shared
+        candidates, build = ((sum(two[0]) - b, b, sum(three[0]) - b),), g3_coloring
+    for special in candidates:
+        if build(n, *special).colors == coloring.colors:
+            return FamilyDescriptor(case, n, special=special)
+    return None
+
+
+def _p4plus_24_way(coloring):
+    """The p4plus classification trying all 24 renumberings of the used colors
+    onto 1..4 in turn, for g2 and then for g3, then clique-plus-vertex: the
+    reference for the role reading classify_structure does."""
+    d = dominant_descriptor(coloring)
+    if d is not None:
+        return CASE_DOMINANT, d
+    n = coloring.n_vertices
+    used = sorted(coloring.colors_used())
+    for case in (CASE_G2, CASE_G3) if len(used) == 4 else ():
+        for perm in itertools.permutations((1, 2, 3, 4)):
+            mapping = dict(zip(used, perm))
+            got = _literal_g(EdgeColoring(n, 4, [mapping[c] for c in coloring.colors]), case)
+            if got is not None:
+                return case, got
+    for a in range(n):
+        rest = [v for v in range(n) if v != a]
+        if len({coloring.color_of(u, v) for u, v in itertools.combinations(rest, 2)}) == 1:
+            return CASE_CLIQUE_PLUS_VERTEX, FamilyDescriptor(CASE_CLIQUE_PLUS_VERTEX, n, special=(a,))
+    return UNCLASSIFIED, None
+
+
+def test_p4plus_role_reading_matches_all_24_renumberings():
+    # every g2 and g3 member on K_4 to K_6 under all 24 renamings and seeded
+    # relabellings, each also with one edge recolored, then random colorings
+    rng = random.Random(8)
+    corpus = []
+    for label in (CASE_G2, CASE_G3):
+        for n in (4, 5, 6):
+            for member in _members(label, n):
+                for names in itertools.permutations((1, 2, 3, 4)):
+                    for perm in (range(n), rng.sample(range(n), n), rng.sample(range(n), n)):
+                        colors = [names[c - 1] for c in _relabel(member, list(perm)).colors]
+                        corpus.append(EdgeColoring(n, 4, colors))
+                        i = rng.randrange(len(colors))
+                        colors[i] = rng.choice([c for c in (1, 2, 3, 4) if c != colors[i]])
+                        corpus.append(EdgeColoring(n, 4, colors))
+    for _ in range(1500):
+        n = rng.randint(4, 7)
+        palette = rng.choice(((1, 2, 3, 4), (2, 3, 4, 5), (1, 5, 2, 4)))
+        sparse = rng.random() < 0.5
+        colors = [
+            palette[rng.randrange(4)] if not sparse or rng.random() < 0.3 else palette[0]
+            for _ in pair_iter(n)
+        ]
+        corpus.append(EdgeColoring(n, 5, colors))
+    hits = dict.fromkeys((CASE_G2, CASE_G3, CASE_CLIQUE_PLUS_VERTEX), 0)
+    for coloring in corpus:
+        if len(coloring.colors_used()) < 4:
+            continue
+        got = classify_structure(coloring, "p4plus")
+        assert got == _p4plus_24_way(coloring), coloring.colors
+        hits[got[0]] = hits.get(got[0], 0) + 1
+    assert hits[CASE_G2] >= 216 and hits[CASE_G3] >= 216 and hits[CASE_CLIQUE_PLUS_VERTEX], hits
+
+
 def test_k13_one_renumbering_matches_all_six():
     # every exact 3-coloring of K_4, then t-like colorings up to K_9 with some
     # edges recolored, under palettes that are not 1, 2, 3
@@ -419,6 +517,26 @@ def test_matched_quad_label_survives_relabelling():
         for perm in itertools.permutations(range(coloring.n_vertices)):
             got, _ = classify_structure(_relabel(coloring, perm), "p5")
             assert got == CASE_MATCHED_QUAD, (coloring.colors, perm)
+
+
+def test_exceptional_labels_survive_relabelling_and_renaming():
+    # hub-triple, sporadic-5 and clique-plus-vertex members under seeded vertex
+    # permutations and color names drawn from 1..5, one declared color unused
+    rng = random.Random(34)
+    cases = (
+        (CASE_HUB_TRIPLE, 5), (CASE_HUB_TRIPLE, 6), (CASE_SPORADIC_5, 5),
+        (CASE_CLIQUE_PLUS_VERTEX, 5),
+    )
+    for label, n in cases:
+        members = _members(label, n)
+        assert members, (label, n)
+        for coloring in members:
+            for _ in range(40):
+                names = rng.sample((1, 2, 3, 4, 5), 4)
+                relabelled = _relabel(coloring, rng.sample(range(n), n))
+                renamed = EdgeColoring(n, 5, [names[c - 1] for c in relabelled.colors])
+                got, _ = classify_structure(renamed, "p5")
+                assert got == label, (label, renamed.colors)
 
 
 def test_multipartite_ham_examples():
