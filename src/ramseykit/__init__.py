@@ -9,13 +9,9 @@ search at small sizes.
 from .coloring import (
     ColorClass,
     EdgeColoring,
-    color_class,
-    colors_used,
     dumps_coloring,
     loads_coloring,
-    read_coloring,
     read_coloring_file,
-    write_coloring,
     write_coloring_file,
 )
 from .errors import (

@@ -15,6 +15,7 @@ from typing import Callable
 
 from . import constructions, formulas, naive, patterns, search, structure
 from .coloring import EdgeColoring
+from .errors import RamseykitError
 from .patterns import (
     Kipas,
     LinearForestExact,
@@ -67,12 +68,10 @@ def _crit_kipas_linear(seed: int) -> tuple[bool, str]:
     dt = time.monotonic() - t0
     if not (rep.value.exact and rep.value.value == 5 and dt < 10.0):
         return False, f"search gave {rep.value} in {dt:.2f}s"
-    w = constructions.witness_kipas_linear(4, 2)
-    if patterns.has_mono_pattern(w, 1, Kipas(4)) is not None:
-        return False, "witness contains a red kipas"
-    edges, _ = patterns.max_linear_forest(w, 2)
-    if edges >= 2:
-        return False, f"witness has a blue forest with {edges} edges"
+    try:
+        constructions.witness_kipas_linear(4, 2, verify=True)
+    except RamseykitError as err:
+        return False, str(err)
     return True, f"r=5 [{dt:.2f}s]; witness on K_4 target-free"
 
 
@@ -105,56 +104,55 @@ def _crit_bk_thresholds(seed: int) -> tuple[bool, str]:
 
 
 def _witness_cases():
+    """(label, builder, arguments, family) for each witness; each builder
+    states its own targets and checks them under ``verify=True``."""
     for order in (4, 5, 6):
         yield (
             f"t-path-witness({order})",
-            constructions.witness_t_path(order),
+            constructions.witness_t_path,
+            (order,),
             "t",
-            [(c, Path(order)) for c in (1, 2, 3)],
         )
     for order in (6, 7):
         yield (
             f"bk-path-witness(3,{order})",
-            constructions.witness_bk_path(3, order),
+            constructions.witness_bk_path,
+            (3, order),
             "bk",
-            [(c, Path(order)) for c in (1, 2, 3)],
         )
     yield (
         "b3-kipas-witness(5)",
-        constructions.witness_b3_kipas(5),
+        constructions.witness_b3_kipas,
+        (5,),
         "bk",
-        [(c, Kipas(5)) for c in (1, 2, 3)],
     )
     for order in (2, 3):
         yield (
             f"small-kipas-witness({order})",
-            constructions.witness_small_kipas(order),
+            constructions.witness_small_kipas,
+            (order,),
             "bk",
-            [(c, Kipas(order)) for c in (1, 2, 3)],
         )
     for n, m in ((4, 2), (6, 3), (8, 4)):
         yield (
             f"kipas-linear-witness({n},{m})",
-            constructions.witness_kipas_linear(n, m),
+            constructions.witness_kipas_linear,
+            (n, m),
             None,
-            [(1, Kipas(n)), (2, LinearForestMin(m, 2))],
         )
 
 
 def _crit_witness_suite(seed: int) -> tuple[bool, str]:
     t0 = time.monotonic()
     checked = 0
-    for label, coloring, family, targets in _witness_cases():
+    for label, build, build_args, family in _witness_cases():
+        try:
+            coloring = build(*build_args, verify=True)
+        except RamseykitError as err:
+            return False, f"{label}: {err}"
         if family is not None:
             if structure.is_member(coloring, family) is None:
                 return False, f"{label}: rejected by the {family} classifier"
-        for c, pattern in targets:
-            if isinstance(pattern, LinearForestMin):
-                edges, _ = patterns.max_linear_forest(coloring, c, pattern.min_order)
-                if edges >= pattern.min_edges:
-                    return False, f"{label}: color {c} holds a forest with {edges} edges"
-            elif patterns.has_mono_pattern(coloring, c, pattern) is not None:
-                return False, f"{label}: contains {patterns.format_pattern(pattern)} in color {c}"
         checked += 1
     dt = time.monotonic() - t0
     return dt < 30.0, f"{checked} witnesses family-checked and target-free [{dt:.2f}s]"

@@ -85,13 +85,6 @@ def _cmd_detect(args) -> int:
     if mode not in ("mono", "rainbow"):
         raise RamseykitError(f"pattern must start with mono: or rainbow:, got {spec!r}")
     pattern = parse_pattern(rest)
-    try:
-        return _detect(args, coloring, mode, pattern)
-    except CapabilityError as err:
-        return _emit_abort(args, err)
-
-
-def _detect(args, coloring: EdgeColoring, mode: str, pattern: patterns.PatternSpec) -> int:
     if mode == "rainbow":
         emb = patterns.has_rainbow(coloring, pattern)
         if emb is None:
@@ -183,26 +176,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        if args.quantity == "ramsey":
-            if not args.red or not args.blue:
-                raise RamseykitError("ramsey needs --red and --blue patterns")
-            rep = search.brute_force_ramsey(
-                parse_pattern(args.red), parse_pattern(args.blue), args.max_n,
-                node_budget=args.budget,
-            )
-        elif args.quantity == "bk":
-            if not args.target or args.k is None:
-                raise RamseykitError("bk needs --k and --target")
-            rep = search.compute_bk(args.k, parse_pattern(args.target), args.max_n, node_budget=args.budget)
-        elif args.quantity == "t":
-            if not args.target:
-                raise RamseykitError("t needs --target")
-            rep = search.compute_t(parse_pattern(args.target), args.max_n, node_budget=args.budget)
-        else:
-            raise RamseykitError(f"unknown quantity {args.quantity!r}")
-    except CapabilityError as err:
-        return _emit_abort(args, err)
+    if args.quantity == "ramsey":
+        if not args.red or not args.blue:
+            raise RamseykitError("ramsey needs --red and --blue patterns")
+        rep = search.brute_force_ramsey(
+            parse_pattern(args.red), parse_pattern(args.blue), args.max_n,
+            node_budget=args.budget,
+        )
+    elif args.quantity == "bk":
+        if not args.target or args.k is None:
+            raise RamseykitError("bk needs --k and --target")
+        rep = search.compute_bk(args.k, parse_pattern(args.target), args.max_n, node_budget=args.budget)
+    elif args.quantity == "t":
+        if not args.target:
+            raise RamseykitError("t needs --target")
+        rep = search.compute_t(parse_pattern(args.target), args.max_n, node_budget=args.budget)
+    else:
+        raise RamseykitError(f"unknown quantity {args.quantity!r}")
     written = _maybe_write_witness(args, rep.extremal_witness)
     lines = _value_lines(rep.value)
     lines.append(f"nodes {rep.nodes_explored}")
@@ -243,10 +233,7 @@ def _cmd_check(args) -> int:
         if args.n < min_n:
             raise RamseykitError(f"check {args.lemma} needs --n >= {min_n}")
         size = args.n + extra
-        try:
-            rep = search.universal_check(size, [(1, Kipas(args.n))], required)
-        except CapabilityError as err:
-            return _emit_abort(args, err)
+        rep = search.universal_check(size, [(1, Kipas(args.n))], required)
         witness = _maybe_write_witness(args, rep.counterexample)
         lines = [
             f"{'holds' if rep.holds else 'counterexample'} over all 2-colorings of K_{size}",
@@ -286,19 +273,16 @@ def _cmd_check(args) -> int:
             lines.append(f"witness {witness}")
         _emit(args, {"check": "3.2", "holds": False, "note": note}, lines)
         return 1
-    raise RamseykitError(f"unknown check {args.lemma!r}; known: 3.1i, 3.1ii, 3.2")
+    raise RamseykitError(f"unknown check {args.lemma!r}; known: {', '.join(search.LEMMA_31)}, 3.2")
 
 
 def _cmd_grverify(args) -> int:
     context = structure.CONTEXTS.get(args.rainbow)
     rainbow = context[0] if context else parse_pattern(args.rainbow)
     target = parse_pattern(args.target)
-    try:
-        rep = search.gr_desk_verify(
-            args.k, rainbow, target, args.N, mode=args.mode, node_budget=args.budget,
-        )
-    except CapabilityError as err:
-        return _emit_abort(args, err)
+    rep = search.gr_desk_verify(
+        args.k, rainbow, target, args.N, mode=args.mode, node_budget=args.budget,
+    )
     witness = _maybe_write_witness(args, rep.counterexample)
     lines = [f"{'holds' if rep.holds else 'counterexample'}", f"nodes {rep.nodes_explored}"]
     lines.extend(rep.notes)
@@ -393,19 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="evaluate a closed-form value")
     p.add_argument("--id", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--min-component", type=int, dest="min_component")
-    p.add_argument("--size1", type=int)
-    p.add_argument("--odd1", type=int)
-    p.add_argument("--size2", type=int)
-    p.add_argument("--odd2", type=int)
+    # one option per parameter name in the formula table, so a new formula needs no edit here
+    names = dict.fromkeys(name for _, params in formulas.FORMULAS.values() for name in params)
+    for name in names:
+        p.add_argument(f"--{name.replace('_', '-')}", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_formula)
 
     p = sub.add_parser("check", help="run a built-in implication check")
-    p.add_argument("--lemma", required=True, help="3.1i, 3.1ii or 3.2")
+    p.add_argument("--lemma", required=True, help=f"{', '.join(search.LEMMA_31)} or 3.2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -446,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CapabilityError as err:
+        return _emit_abort(args, err)
     except (RamseykitError, OSError) as err:  # OSError: an unreadable input file
         if getattr(args, "json", False):
             _emit(args, {"error": str(err)}, [])

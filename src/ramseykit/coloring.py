@@ -188,14 +188,6 @@ class ColorClass:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-def colors_used(coloring: EdgeColoring) -> frozenset[int]:
-    return coloring.colors_used()
-
-
-def color_class(coloring: EdgeColoring, c: int) -> ColorClass:
-    return coloring.color_class(c)
-
-
 # --- ecg v1 serialization ---------------------------------------------------
 #
 # line 1: "ecg 1"
@@ -217,10 +209,6 @@ def dumps_coloring(coloring: EdgeColoring) -> str:
             lines.append(f"{u} {v} {cols[i]}")
             i += 1
     return "\n".join(lines) + "\n"
-
-
-def write_coloring(coloring: EdgeColoring) -> bytes:
-    return dumps_coloring(coloring).encode("utf-8")
 
 
 def loads_coloring(text: str) -> EdgeColoring:
@@ -280,12 +268,6 @@ def loads_coloring(text: str) -> EdgeColoring:
         return EdgeColoring(n, k, colors, exact_flag=bool(exact))
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-
-
-def read_coloring(data: bytes | str) -> EdgeColoring:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return loads_coloring(data)
 
 
 def read_coloring_file(path) -> EdgeColoring:

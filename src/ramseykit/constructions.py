@@ -29,7 +29,7 @@ from itertools import combinations
 from .coloring import EdgeColoring, pair_iter
 from .errors import DescriptorError, DomainError, RamseykitError
 from . import patterns
-from .patterns import Kipas, Path
+from .patterns import Kipas, LinearForestMin, Path
 
 
 @dataclass
@@ -96,7 +96,6 @@ def part_allowed(family: str, parts) -> list[tuple[int, ...]]:
 def build_family(d: FamilyDescriptor) -> EdgeColoring:
     """Build the coloring a descriptor determines; cross colors are fixed."""
     n = d.n_vertices
-    assignment: dict[tuple[int, int], int] = {}
     if d.family in ("bk", "t", "g1"):
         if d.family == "bk":
             if d.parts is None or len(d.parts) < 2:
@@ -125,28 +124,34 @@ def build_family(d: FamilyDescriptor) -> EdgeColoring:
             raise DescriptorError("g2: x, y must be distinct vertices")
         if n < 3:
             raise DescriptorError("g2: needs at least 3 vertices")
+        colors = []
         for u, v in pair_iter(n):
             if {u, v} == {x, y}:
-                assignment[(u, v)] = 2
+                colors.append(2)
             elif x in (u, v):
-                assignment[(u, v)] = 3
+                colors.append(3)
             elif y in (u, v):
-                assignment[(u, v)] = 4
+                colors.append(4)
             else:
-                assignment[(u, v)] = 1
-        return _exactified(EdgeColoring.from_pairs(n, 4, assignment))
+                colors.append(1)
+        return _exactified(EdgeColoring(n, 4, colors))
     if d.family == "g3":
         if d.special is None or len(d.special) != 3:
             raise DescriptorError("g3: needs special vertices (a, b, c)")
         a, b, c = d.special
         if len({a, b, c}) != 3 or not all(0 <= v < n for v in (a, b, c)):
             raise DescriptorError("g3: a, b, c must be distinct vertices")
+        colors = []
         for u, v in pair_iter(n):
-            assignment[(u, v)] = 1
-        assignment[(min(a, b), max(a, b))] = 2
-        assignment[(min(b, c), max(b, c))] = 3
-        assignment[(min(a, c), max(a, c))] = 4
-        return _exactified(EdgeColoring.from_pairs(n, 4, assignment))
+            if {u, v} == {a, b}:
+                colors.append(2)
+            elif {u, v} == {b, c}:
+                colors.append(3)
+            elif {u, v} == {a, c}:
+                colors.append(4)
+            else:
+                colors.append(1)
+        return _exactified(EdgeColoring(n, 4, colors))
     raise DescriptorError(f"unknown family {d.family!r}")
 
 
@@ -198,17 +203,12 @@ def witness_kipas_linear(n: int, m: int, verify: bool = False) -> EdgeColoring:
         raise DomainError("need n, m >= 2")
     extra = (m + 1) // 2 - 1
     size = n + extra
-    assignment: dict[tuple[int, int], int] = {}
-    for u, v in pair_iter(size):
-        assignment[(u, v)] = 1 if v < n else 2
-    coloring = _exactified(EdgeColoring.from_pairs(size, 2, assignment))
+    colors = [1 if v < n else 2 for u, v in pair_iter(size)]
+    coloring = _exactified(EdgeColoring(size, 2, colors))
     if verify:
-        _assert_free(coloring, [(1, Kipas(n))], f"kipas-linear witness ({n}, {m})")
-        edges, _ = patterns.max_linear_forest(coloring, 2)
-        if edges >= m:
-            raise RamseykitError(
-                f"kipas-linear witness ({n}, {m}) admits a blue forest with {edges} edges"
-            )
+        _assert_free(
+            coloring, [(1, Kipas(n)), (2, LinearForestMin(m))], f"kipas-linear witness ({n}, {m})"
+        )
     return coloring
 
 
@@ -290,8 +290,15 @@ def witness_small_kipas(n: int, verify: bool = False) -> EdgeColoring:
 
 
 def _assert_free(coloring: EdgeColoring, targets, label: str) -> None:
+    """Raise unless no (color, pattern) target occurs; a LinearForestMin
+    target occurs when the color's largest linear forest reaches its edges."""
     for c, pattern in targets:
-        if patterns.has_mono_pattern(coloring, c, pattern) is not None:
+        if isinstance(pattern, LinearForestMin):
+            edges, _ = patterns.max_linear_forest(coloring, c, pattern.min_order)
+            present = edges >= pattern.min_edges
+        else:
+            present = patterns.has_mono_pattern(coloring, c, pattern) is not None
+        if present:
             raise RamseykitError(
                 f"{label} contains {patterns.format_pattern(pattern)} in color {c}"
             )

@@ -124,14 +124,14 @@ def r_star_star(n: int, m: int) -> ValueOrInterval:
 def r_path_kipas(n: int, m: int) -> ValueOrInterval:
     """r(P_n, kipas of path order m).
 
-    Exact for m <= 2n-1; for n >= 4, m >= 2n-2 only the upper bound m+n-1 is
-    known (lower endpoint is the trivial path bound 2n-1).
+    Exact for m <= 2n-1; for n >= 4 and m >= 2n only [2n-1, m+n-1] is known
+    (the lower endpoint is the trivial path bound 2n-1).
     """
     if m < 2 or n < 2:
         raise DomainError("need m, n >= 2")
     if m <= 2 * n - 1:
         return exact(max(2 * n - 1, -(3 * m // -2) - 1, 2 * (m // 2) + n - 2))
-    if n >= 4 and m >= 2 * n - 2:
+    if n >= 4:
         return interval(2 * n - 1, m + n - 1)
     raise DomainError(f"no formula covers n={n}, m={m} (n < 4 with m > 2n-1)")
 

@@ -376,20 +376,19 @@ def _has_clique(adj: Sequence[int], mask: int, order: int) -> bool:
     return False
 
 
-def _partitions(total: int, min_part: int):
-    """Partitions of ``total`` into parts >= min_part, descending tuples."""
+def _size_multisets(total: int, count: int, min_size: int):
+    """Ascending size tuples of ``count`` parts, each >= min_size, summing to total."""
 
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
+    def rec(remaining: int, parts_left: int, floor: int):
+        if parts_left == 1:
+            if remaining >= floor:
+                yield (remaining,)
             return
-        for first in range(min(cap, remaining), min_part - 1, -1):
-            if remaining - first and remaining - first < min_part:
-                continue
-            for rest in rec(remaining - first, first):
+        for first in range(floor, remaining // parts_left + 1):
+            for rest in rec(remaining - first, parts_left - 1, first):
                 yield (first,) + rest
 
-    yield from rec(total, total)
+    yield from rec(total, count, min_size)
 
 
 def greedy_forest_edges(n: int, adj: Sequence[int], min_order: int) -> int:
@@ -426,10 +425,11 @@ def forest_min_edges_exists(n: int, adj: Sequence[int], min_edges: int, min_orde
         return True
     edge_targets = [min_edges] if min_order == 2 else [min_edges, min_edges + 1]
     for target in edge_targets:
-        for part in _partitions(target, min_order - 1):
-            forest = LinearForestExact(tuple(p + 1 for p in part))
-            if _mono_copy(n, adj, forest) is not None:
-                return True
+        for count in range(1, target // (min_order - 1) + 1):
+            for sizes in _size_multisets(target, count, min_order - 1):
+                forest = LinearForestExact(tuple(size + 1 for size in sizes))
+                if _mono_copy(n, adj, forest) is not None:
+                    return True
     return False
 
 

@@ -24,7 +24,7 @@ from .constructions import (
     FamilyDescriptor, _T_INTERNAL, _ranges, g2_coloring, g3_coloring, part_allowed,
 )
 from .errors import DomainError
-from .patterns import P4_PLUS, Path, Star, _bits
+from .patterns import P4_PLUS, Path, Star, _bits, _size_multisets
 
 # case labels, in the order classification attempts them
 CASE_DOMINANT = "dominant"
@@ -312,21 +312,6 @@ def is_member(coloring: EdgeColoring, family: str) -> FamilyDescriptor | None:
 # one tuple per edge in pair_rank order (a 1-tuple fixes the edge).  The
 # members of a row are the colorings its lists allow (the surjective ones in
 # structure mode); the matcher recognizes each of them.
-
-
-def _size_multisets(total: int, count: int, min_size: int):
-    """Ascending size tuples of ``count`` parts, each >= min_size, summing to total."""
-
-    def rec(remaining: int, parts_left: int, floor: int):
-        if parts_left == 1:
-            if remaining >= floor:
-                yield (remaining,)
-            return
-        for first in range(floor, remaining // parts_left + 1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, count, min_size)
 
 
 def _parts_allowed(n: int, family: str, count: int, min_size: int):

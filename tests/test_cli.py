@@ -216,18 +216,27 @@ def test_detect_capability_limit_emits_json(tmp_path, capsys):
     write_coloring_file(EdgeColoring.constant(21, 1), big)
     small = tmp_path / "k7.ecg"
     write_coloring_file(EdgeColoring.constant(7, 1, n_colors=3), small)
+    lf_limit = "linear forest search supports at most 20 vertices"
     cases = [
-        (big, "mono:lf:minedges=5,minorder=3", "linear forest search supports at most 20 vertices"),
-        (small, "rainbow:path:6", "rainbow detection supports patterns on at most 5 vertices"),
+        (["detect", "--input", str(big), "--pattern", "mono:lf:minedges=5,minorder=3"], lf_limit),
+        (
+            ["detect", "--input", str(small), "--pattern", "rainbow:path:6"],
+            "rainbow detection supports patterns on at most 5 vertices",
+        ),
+        # the witness on K_21 is checked for blue forests; generate has no --json
+        (["generate", "--family", "kipas-linear-witness", "--n", "20", "--m", "4", "--verify"], lf_limit),
     ]
-    for path, pattern, error in cases:
-        argv = ["detect", "--input", str(path), "--pattern", pattern, "--any-color"]
-        assert main(argv + ["--json"]) == 2
-        captured = capsys.readouterr()
-        assert json.loads(captured.out) == {"error": error}
-        assert captured.err == ""
+    for argv, error in cases:
+        if argv[0] == "detect":
+            argv = argv + ["--any-color"]
+            assert main(argv + ["--json"]) == 2
+            captured = capsys.readouterr()
+            assert json.loads(captured.out) == {"error": error}
+            assert captured.err == ""
         assert main(argv) == 2
-        assert capsys.readouterr().out == f"capability limit: {error}\n"
+        captured = capsys.readouterr()
+        assert captured.out == f"capability limit: {error}\n"
+        assert captured.err == ""
 
 
 def test_classify_command(tmp_path, capsys):

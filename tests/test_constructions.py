@@ -4,6 +4,7 @@ from ramseykit.cli import main
 from ramseykit.coloring import EdgeColoring, pair_iter, read_coloring_file
 from ramseykit.constructions import (
     FamilyDescriptor,
+    _assert_free,
     build_family,
     complete_parts,
     g2_coloring,
@@ -14,8 +15,15 @@ from ramseykit.constructions import (
     witness_small_kipas,
     witness_t_path,
 )
-from ramseykit.errors import DescriptorError, DomainError
-from ramseykit.patterns import Kipas, Path, has_mono_pattern, longest_mono_path, max_linear_forest
+from ramseykit.errors import CapabilityError, DescriptorError, DomainError, RamseykitError
+from ramseykit.patterns import (
+    Kipas,
+    LinearForestMin,
+    Path,
+    has_mono_pattern,
+    longest_mono_path,
+    max_linear_forest,
+)
 from ramseykit.structure import is_member
 
 
@@ -183,6 +191,16 @@ def test_generators_validate_with_verify_flag():
     witness_b3_kipas(6, verify=True)
     witness_small_kipas(3, verify=True)
     witness_kipas_linear(8, 4, verify=True)
+
+
+def test_assert_free_checks_a_min_edge_forest_by_the_largest_forest():
+    # an all-blue K_6 holds blue linear forests of any size up to five edges
+    all_blue = EdgeColoring.constant(6, 2, n_colors=2)
+    with pytest.raises(RamseykitError) as info:
+        _assert_free(all_blue, [(2, LinearForestMin(2))], "probe")
+    assert not isinstance(info.value, CapabilityError)
+    assert str(info.value) == "probe contains lf:minedges=2,minorder=2 in color 2"
+    _assert_free(all_blue, [(1, LinearForestMin(2))], "probe")
 
 
 def test_bk_witnesses_use_all_colors():
