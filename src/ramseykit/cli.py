@@ -58,7 +58,9 @@ def _emit_abort(args, err: CapabilityError) -> int:
     label = "budget exceeded" if isinstance(err, BudgetExceeded) else "capability limit"
     lines = [f"{label}: {err}"]
     rep = err.partial
-    if rep is not None:
+    # only search reports are shown; the forest search's partial is a bare
+    # (edges, components) pair that names no quantity
+    if isinstance(rep, (search.SearchReport, search.CheckReport)):
         payload.update(quantity=rep.quantity, nodes=rep.nodes_explored)
         if isinstance(rep, search.SearchReport):
             payload.update(_value_payload(rep.value))

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from ramseykit import patterns
 from ramseykit.cli import main
 from ramseykit.coloring import EdgeColoring, read_coloring_file, write_coloring_file
 
@@ -233,6 +235,31 @@ def test_detect_capability_limit_emits_json(tmp_path, capsys):
             captured = capsys.readouterr()
             assert json.loads(captured.out) == {"error": error}
             assert captured.err == ""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"capability limit: {error}\n"
+        assert captured.err == ""
+
+
+def test_forest_search_abort_reports_a_capability_limit(tmp_path, capsys, monkeypatch):
+    # the forest search's partial is a bare (edges, components) pair, not a
+    # search report: the abort still reads as a capability limit, exit 2
+    monkeypatch.setattr(
+        patterns,
+        "max_linear_forest_edges",
+        functools.partial(patterns.max_linear_forest_edges, node_budget=1),
+    )
+    ecg = tmp_path / "w.ecg"
+    assert main(["generate", "--family", "kipas-linear-witness", "--n", "4", "--m", "4", "-o", str(ecg)]) == 0
+    capsys.readouterr()
+    error = "linear forest search exceeded 1 nodes"
+    detect = ["detect", "--input", str(ecg), "--pattern", "mono:lf:minedges=4", "--color", "2"]
+    assert main(detect + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": error}
+    assert captured.err == ""
+    generate = ["generate", "--family", "kipas-linear-witness", "--n", "4", "--m", "4", "--verify"]
+    for argv in (detect, generate):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == f"capability limit: {error}\n"
