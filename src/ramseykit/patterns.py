@@ -11,11 +11,15 @@ placer reads the pair (u, v), u < v, as ``colors[base[u] + v]`` from a
 per-n table of row offsets (``base[u] + v == pair_rank(u, v, n)``), and a
 rainbow copy needs one distinct decided color per edge, so the
 whole-graph rainbow tests answer "absent" at once when fewer colors are in
-use than the pattern has edges.  Paths, stars, cliques and kipas also have
-anchored fast paths (a path or kipas rim fits its last two vertices in
-closed form), the longest path order comes from the classic DP over
-(vertex subset, endpoint) states, and minimum-edge forests use one plan
-per component-order partition.
+use than the pattern has edges.  The longest path order comes from the
+classic DP over (vertex subset, endpoint) states, and minimum-edge forests
+use one exact forest per component-order partition.
+
+The search binds one anchored test per tracked pattern and scan, built by
+:func:`mono_test` or :func:`rainbow_test`, which settle the pattern kind,
+its fit in K_n and its anchored plans once.  Paths, stars, cliques and
+kipas have fast paths (a path or kipas rim fits its last two vertices in
+closed form, a triangle is one AND).
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -25,9 +29,9 @@ convention is this artifact's own, chosen for a total ``longest path``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coloring import EdgeColoring, pair_iter, pair_rank
 from .errors import CapabilityError, DomainError
@@ -413,24 +417,33 @@ def greedy_forest_edges(n: int, adj: Sequence[int], min_order: int) -> int:
     return total
 
 
+@lru_cache(maxsize=128)
+def _min_forests(min_edges: int, min_order: int) -> tuple[LinearForestExact, ...]:
+    """The exact forests a ``LinearForestMin(min_edges, min_order)`` test
+    looks for, one per component-order partition.
+
+    A forest with more edges can always be trimmed down to min_edges
+    (order-2 components) or to min_edges/min_edges+1 (order-3 components),
+    so a class holds the target exactly when it holds one of these.
+    """
+    edge_targets = [min_edges] if min_order == 2 else [min_edges, min_edges + 1]
+    return tuple(
+        LinearForestExact(tuple(size + 1 for size in sizes))
+        for target in edge_targets
+        for count in range(1, target // (min_order - 1) + 1)
+        for sizes in _size_multisets(target, count, min_order - 1)
+    )
+
+
 def forest_min_edges_exists(n: int, adj: Sequence[int], min_edges: int, min_order: int) -> bool:
     """Any linear forest with >= min_edges edges and components >= min_order?
 
-    A forest with more edges can always be trimmed down to min_edges (order-2
-    components) or to min_edges/min_edges+1 (order-3 components), so checking
-    the exact edge counts via component-order partitions is equivalent.
-    Each partition is one exact forest, placed by its whole-graph plan.
+    The greedy bound first, then each of :func:`_min_forests`, placed by its
+    whole-graph plan.
     """
     if greedy_forest_edges(n, adj, min_order) >= min_edges:
         return True
-    edge_targets = [min_edges] if min_order == 2 else [min_edges, min_edges + 1]
-    for target in edge_targets:
-        for count in range(1, target // (min_order - 1) + 1):
-            for sizes in _size_multisets(target, count, min_order - 1):
-                forest = LinearForestExact(tuple(size + 1 for size in sizes))
-                if _mono_copy(n, adj, forest) is not None:
-                    return True
-    return False
+    return any(_mono_copy(n, adj, f) is not None for f in _min_forests(min_edges, min_order))
 
 
 def max_linear_forest_edges(
@@ -524,83 +537,154 @@ def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[in
 def mono_present(
     n: int, adj: Sequence[int], p: PatternSpec, edge: tuple[int, int] | None = None
 ) -> bool:
-    """Presence test used inside search loops.
+    """Is there a copy of p in one color class of K_n?
 
-    With ``edge`` = (u, v), an edge of the class, the test is anchored: it
-    assumes the class without uv holds no copy of p and looks only for
-    copies through uv, so under that assumption it gives the whole-graph
-    answer.  Search engines add one edge at a time and stop at the first
-    copy, so the assumption holds after every edge they add.  Without
-    ``edge`` it runs the pattern's whole-graph plan.  ``LinearForestMin``
-    has no anchored form and is always tested on the whole graph.
+    With ``edge`` = (u, v), an edge of the class, it runs the anchored test
+    that :func:`mono_test` builds.  Without ``edge`` it runs the pattern's
+    whole-graph plan (``LinearForestMin``: :func:`forest_min_edges_exists`).
     """
+    if edge is not None:
+        test = mono_test(n, p)
+        return test is not None and test(adj, *edge)
     if isinstance(p, LinearForestMin):
         return forest_min_edges_exists(n, adj, p.min_edges, p.min_order)
-    if edge is None:
-        return _mono_copy(n, adj, p) is not None
-    u, v = edge
-    if isinstance(p, Path):
-        return p.order <= n and _grow(adj, (1 << n) - 1, u, v, 1 << u | 1 << v, 2, p.order)
-    if isinstance(p, CompleteGraph):
-        return p.order <= n and _has_clique(adj, adj[u] & adj[v], p.order - 2)
-    if isinstance(p, Star):
-        return p.leaves < n and max(adj[u].bit_count(), adj[v].bit_count()) >= p.leaves
-    if isinstance(p, Kipas):
-        return p.order < n and _kipas_through(adj, p.order, u, v)
-    if pattern_order(p) > n:
-        return False
-    plans = _anchor_plans(p)
-    if not plans:  # no edges: present whenever it fits
-        return True
-    mapping = [u, v] + [-1] * (pattern_order(p) - 2)
-    return _place_mono(n, adj, plans, mapping, 1 << u | 1 << v)
+    return _mono_copy(n, adj, p) is not None
 
 
 # --- anchored detection ---------------------------------------------------------
 #
-# The fast paths behind the anchored tests.  Each looks only for copies that
-# use the edge uv.
+# The builders of the anchored tests, and the fast paths behind them.  Each
+# test looks only for copies that use the edge uv.
+
+
+def _present(*_args) -> bool:
+    """The test of a pattern with no edges: present whenever it fits."""
+    return True
+
+
+def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], bool] | None:
+    """The anchored test of p in a color class of K_n, a function of
+    (adj, u, v), or None when p does not fit in K_n.
+
+    The test assumes that the class without its edge uv holds no copy of p
+    and looks only for copies through uv, so under that assumption it gives
+    the whole-graph answer.  Search engines add one edge at a time and stop
+    at the first copy, so the assumption holds after every edge they add.
+    A ``LinearForestMin`` test runs the greedy bound on the whole class,
+    then each of :func:`_min_forests` anchored on uv: the class without uv
+    held none of them, so every one it now holds uses uv.
+    """
+    if isinstance(p, LinearForestMin):
+        forests = _min_forests(p.min_edges, p.min_order)
+        tests = [test for f in forests if (test := mono_test(n, f)) is not None]
+        if not tests:
+            return None
+        min_edges, min_order = p.min_edges, p.min_order
+
+        def forest(adj: Sequence[int], u: int, v: int) -> bool:
+            return greedy_forest_edges(n, adj, min_order) >= min_edges or any(
+                t(adj, u, v) for t in tests
+            )
+
+        return forest
+    order = pattern_order(p)
+    if order > n:
+        return None
+    if isinstance(p, Path):
+        return partial(_grow, (1 << n) - 1, order)
+    if isinstance(p, Kipas):
+        return partial(_kipas_through, p.order)
+    if isinstance(p, Star):
+        leaves = p.leaves
+        return lambda adj, u, v: adj[u].bit_count() >= leaves or adj[v].bit_count() >= leaves
+    if isinstance(p, CompleteGraph):
+        rest = order - 2  # a clique on uv plus K_rest in N(u) ∩ N(v)
+        if rest == 1:
+            return lambda adj, u, v: adj[u] & adj[v] != 0
+        return lambda adj, u, v: _has_clique(adj, adj[u] & adj[v], rest)
+    plans = _anchor_plans(p)
+    if not plans:
+        return _present
+
+    def placed(adj: Sequence[int], u: int, v: int) -> bool:
+        return _place_mono(n, adj, plans, [u, v] + [-1] * (order - 2), 1 << u | 1 << v)
+
+    return placed
 
 
 def _grow(
-    adj: Sequence[int], allowed: int, x: int, y: int, used: int, size: int, order: int
+    allowed: int, order: int, adj: Sequence[int], x: int, y: int, used: int = 0, size: int = 2
 ) -> bool:
     """Can the path on the vertex set ``used`` (``size`` vertices, ends x and
-    y) grow inside ``allowed`` to ``order`` vertices?
-
-    Grows the y end depth first and, after each step, tries to finish from
-    the x end.  The last two vertices are fitted in closed form: one at
-    each end (both ends have a free neighbour, and together at least two),
-    or two at one end (a free neighbour z of either end has a free
-    neighbour of its own).  With x == y it asks for a path through that
+    y) grow inside ``allowed`` to ``order`` vertices?  ``used`` = 0 stands
+    for the edge xy itself.  With x == y it asks for a path through that
     vertex.
+
+    The last two vertices are fitted in closed form by :func:`_fit_two`.
+    With at most five vertices missing, one end grows by all but two of
+    them and the last two go anywhere, first from the x end, then from the
+    y end: every split of up to five vertices between the ends puts all
+    but two at one of them.  Longer paths grow the y end depth first and,
+    after each step, try to finish from the x end alone.
     """
+    if not used:
+        used = 1 << x | 1 << y
     free = allowed & ~used
     need = order - size
     if free.bit_count() < need:
         return False
-    if need <= 2:
-        ex = adj[x] & free
-        ey = adj[y] & free
-        if need <= 1:
-            return need <= 0 or (ex | ey) != 0
-        if ex and ey and (ex | ey).bit_count() >= 2:
-            return True
-        ends = ex | ey
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            if adj[low.bit_length() - 1] & free:
-                return True
-        return False
+    if need <= 1:
+        return need <= 0 or (adj[x] | adj[y]) & free != 0
+    if need == 2:
+        return _fit_two(adj, free, 1 << x, y)
+    if need <= 5:
+        return _walk(adj, free, x, y, need - 2) or (x != y and _walk(adj, free, y, x, need - 2))
     if _grow_end(adj, allowed, x, used, need):
         return True
     ext = adj[y] & free
     while ext:
         low = ext & -ext
         ext ^= low
-        if _grow(adj, allowed, x, low.bit_length() - 1, used | low, size + 1, order):
+        if _grow(allowed, order, adj, x, low.bit_length() - 1, used | low, size + 1):
             return True
+    return False
+
+
+def _walk(adj: Sequence[int], free: int, x: int, y: int, steps: int) -> bool:
+    """Can the x end of a path with ends x and y take ``steps`` vertices of
+    ``free``, depth first, and the path then two more at either end?"""
+    ext = adj[x] & free
+    if steps == 1:
+        return _fit_two(adj, free, ext, y)
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if _walk(adj, free & ~low, low.bit_length() - 1, y, steps - 1):
+            return True
+    return False
+
+
+def _fit_two(adj: Sequence[int], free: int, ends: int, y: int) -> bool:
+    """Is there a z in ``ends`` (a vertex of the path, or a free neighbour
+    of its end) such that the path with ends z and y takes two more
+    vertices of ``free`` - z?  Either one at each end (both ends have a
+    free neighbour, and together at least two), or two at one end (a free
+    neighbour of either end has a free neighbour of its own)."""
+    ey = adj[y] & free
+    while ends:
+        low = ends & -ends
+        ends ^= low
+        rest = free & ~low
+        ez = adj[low.bit_length() - 1] & rest
+        e = ey & ~low
+        if ez and e and (ez | e).bit_count() >= 2:
+            return True
+        both = ez | e
+        while both:
+            b = both & -both
+            both ^= b
+            if adj[b.bit_length() - 1] & rest:
+                return True
     return False
 
 
@@ -619,16 +703,16 @@ def _grow_end(adj: Sequence[int], allowed: int, x: int, used: int, need: int) ->
     return False
 
 
-def _kipas_through(adj: Sequence[int], order: int, u: int, v: int) -> bool:
+def _kipas_through(order: int, adj: Sequence[int], u: int, v: int) -> bool:
     """A kipas using uv: uv is a spoke (hub u or v, rim through the other
     end) or a rim edge (hub in N(u) ∩ N(v), rim through uv)."""
     for hub, rim in ((u, v), (v, u)):
         nb = adj[hub]
-        if nb.bit_count() >= order and _grow(adj, nb, rim, rim, 1 << rim, 1, order):
+        if nb.bit_count() >= order and _grow(nb, order, adj, rim, rim, 1 << rim, 1):
             return True
     for hub in _bits(adj[u] & adj[v]):
         nb = adj[hub]
-        if nb.bit_count() >= order and _grow(adj, nb, u, v, 1 << u | 1 << v, 2, order):
+        if nb.bit_count() >= order and _grow(nb, order, adj, u, v):
             return True
     return False
 
@@ -960,22 +1044,41 @@ def rainbow_present(
 ) -> bool:
     """Is there a rainbow copy of p in a flat color array (0 = undecided)?
 
-    With ``edge`` = (u, v), a decided edge, the test is anchored as in
-    :func:`mono_present`: it assumes no rainbow copy avoids uv and looks
-    only for copies through it.  The whole-graph test answers "absent" at
+    With ``edge`` = (u, v), a decided edge, it runs the anchored test that
+    :func:`rainbow_test` builds.  The whole-graph test answers "absent" at
     once when fewer colors are in use than p has edges; the anchored test
     leaves that count to its caller, which keeps it per color class.
     """
-    if edge is None:
-        return _rainbow_copy(n, colors, p) is not None
-    u, v = edge
+    if edge is not None:
+        test = rainbow_test(n, p)
+        return test is not None and test(colors, *edge)
+    return _rainbow_copy(n, colors, p) is not None
+
+
+def rainbow_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], bool] | None:
+    """The anchored rainbow test of p in K_n, a function of (colors, u, v)
+    for a decided edge uv, or None when p does not fit in K_n.
+
+    As in :func:`mono_test`, the test assumes that no rainbow copy avoids
+    uv and looks only for copies through it: a star centred at u or v by
+    its number of distinct decided colors, u first, and every other
+    pattern by its anchored plans through the rainbow placer.
+    """
+    order = pattern_order(p)
+    if order > n:
+        return None
     if isinstance(p, Star):
-        return _color_degree(n, colors, u) >= p.leaves or _color_degree(n, colors, v) >= p.leaves
-    if pattern_order(p) > n:
-        return False
+        leaves = p.leaves
+        return lambda colors, u, v: (
+            _color_degree(n, colors, u) >= leaves or _color_degree(n, colors, v) >= leaves
+        )
     plans = _anchor_plans(p)
-    if not plans:  # no edges: present whenever it fits
-        return True
-    mapping = [u, v] + [-1] * (pattern_order(p) - 2)
-    taken = {colors[pair_rank(min(u, v), max(u, v), n)]}
-    return _place_rainbow(n, colors, plans, mapping, 1 << u | 1 << v, taken)
+    if not plans:
+        return _present
+    base = _bases(n)
+
+    def placed(colors: Sequence[int], u: int, v: int) -> bool:
+        taken = {colors[base[u] + v if u < v else base[v] + u]}
+        return _place_rainbow(n, colors, plans, [u, v] + [-1] * (order - 2), 1 << u | 1 << v, taken)
+
+    return placed

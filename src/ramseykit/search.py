@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .coloring import EdgeColoring, pair_iter
 from .errors import BudgetExceeded, CapabilityError, DomainError
@@ -34,13 +35,14 @@ from .patterns import (
     LinearForestMin,
     Path,
     PatternSpec,
+    _mono_copy,
     forest_min_edges_exists,
     format_pattern,
-    mono_present,
+    mono_test,
     pattern_edges,
     pattern_min_edges,
     pattern_order,
-    rainbow_present,
+    rainbow_test,
 )
 from .structure import CONTEXTS, SHAPES
 
@@ -110,33 +112,33 @@ def _scan(
     pair (color, pattern) prunes a branch once the pattern shows up in that
     color class of the decided edges; the RAINBOW key tracks rainbow copies
     instead.  Only copies through the newest edge are looked for, since the
-    branch was free of every tracked pattern before it.  A rainbow copy
-    needs one color per edge, so a rainbow pattern with more edges than k
-    is dropped, and its test is skipped while fewer color classes are
-    nonempty than it has edges.  ``surjective``
-    keeps only colorings using all k colors; the result is flagged exact
-    when it uses them all.
+    branch was free of every tracked pattern before it: each pattern's
+    anchored test is built once per scan by ``patterns.mono_test`` or
+    ``patterns.rainbow_test``, and a pattern that does not fit in K_n gets
+    none.  A rainbow copy needs one color per edge, so a rainbow pattern
+    with more edges than k is dropped, and its test is skipped while fewer
+    color classes are nonempty than it has edges.  ``surjective`` keeps
+    only colorings using all k colors; the result is flagged exact when it
+    uses them all.
 
     The per-node work is kept small: a node counts itself on the budget
-    without a call, runs its color's mono tests in line, and runs the
-    rainbow tests only when a rainbow pattern is tracked.
+    without a call, calls its color's bound mono tests in line, and runs
+    the rainbow tests only when a rainbow pattern is tracked.
     """
     edges = list(pair_iter(n))
     ecolor = [0] * len(edges)
     adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
     class_edges = [0] * (k + 1)
-    mono: list[list[tuple[int, PatternSpec]]] = [[] for _ in range(k + 1)]
-    rainbow: list[tuple[int, PatternSpec]] = []
+    # (edges a copy needs, anchored test) per color, bound once for this n
+    mono: list[list[tuple[int, Callable]]] = [[] for _ in range(k + 1)]
+    rainbow: list[tuple[int, Callable]] = []
     for key, p in tracked:
         if key == RAINBOW:
             size = len(pattern_edges(p))
-            if size <= k:
-                rainbow.append((size, p))
-            continue
-        # a forest with m edges needs at least m+1 vertices
-        order = p.min_edges + 1 if isinstance(p, LinearForestMin) else pattern_order(p)
-        if order <= n and 1 <= key <= k:  # larger patterns never appear
-            mono[key].append((pattern_min_edges(p), p))
+            if size <= k and (test := rainbow_test(n, p)) is not None:
+                rainbow.append((size, test))
+        elif (test := mono_test(n, p)) is not None:
+            mono[key].append((pattern_min_edges(p), test))
 
     def put(i: int, c: int) -> None:
         u, v = edges[i]
@@ -147,16 +149,17 @@ def _scan(
 
     # Every test is anchored on the edge just colored: the coloring before
     # it held no tracked pattern, or its branch would have been cut.
-    def mono_hit(c: int, edge: tuple[int, int]) -> bool:
-        for min_edges, p in mono[c]:
-            if class_edges[c] >= min_edges and mono_present(n, adj[c], p, edge):
+    def mono_hit(c: int, u: int, v: int) -> bool:
+        row = adj[c]
+        for min_edges, test in mono[c]:
+            if class_edges[c] >= min_edges and test(row, u, v):
                 return True
         return False
 
-    def rainbow_hit(edge: tuple[int, int]) -> bool:
+    def rainbow_hit(u: int, v: int) -> bool:
         in_use = k + 1 - class_edges.count(0)  # class_edges[0] stays 0
-        for size, p in rainbow:
-            if in_use >= size and rainbow_present(n, ecolor, p, edge):
+        for size, test in rainbow:
+            if in_use >= size and test(ecolor, u, v):
                 return True
         return False
 
@@ -173,9 +176,9 @@ def _scan(
         put(i, c)
         if rainbow_seen:
             continue
-        if c not in hit and mono_hit(c, edges[i]):
+        if c not in hit and mono_hit(c, *edges[i]):
             hit.add(c)
-        rainbow_seen = rainbow_hit(edges[i])
+        rainbow_seen = rainbow_hit(*edges[i])
     for c in sorted({choices[0] for choices in allowed if len(choices) == 1}):
         budget.spend()
         if rainbow_seen or c in hit:
@@ -191,7 +194,7 @@ def _scan(
                 return None
             return EdgeColoring(n, k, ecolor, exact_flag=exact)
         i = free[j]
-        edge = u, v = edges[i]
+        u, v = edges[i]
         bu, bv = 1 << u, 1 << v
         for c in allowed[i]:
             budget.nodes += 1
@@ -203,11 +206,11 @@ def _scan(
             row[v] |= bu
             class_edges[c] += 1
             size = class_edges[c]
-            for min_edges, p in mono[c]:  # mono_hit in line: this runs at every node
-                if size >= min_edges and mono_present(n, row, p, edge):
+            for min_edges, test in mono[c]:  # mono_hit in line: this runs at every node
+                if size >= min_edges and test(row, u, v):
                     break
             else:
-                if not (rainbow and rainbow_hit(edge)):
+                if not (rainbow and rainbow_hit(u, v)):
                     got = dfs(j + 1)
                     if got is not None:
                         return got
@@ -361,7 +364,7 @@ def randomized_kipas_forest_refutation(
         if forest_min_edges_exists(size, blue, need, 3):
             continue
         red = [((1 << size) - 1) & ~(1 << v) & ~blue[v] for v in range(size)]
-        if mono_present(size, red, Kipas(n)):
+        if _mono_copy(size, red, Kipas(n)) is not None:
             continue
         colors = [2 if (bits >> i) & 1 else 1 for i in range(m)]
         return EdgeColoring(size, 2, colors, exact_flag=len(set(colors)) == 2)
@@ -411,18 +414,22 @@ def universal_check(
 ) -> CheckReport:
     """Does every 2-coloring of K_n avoiding ``forbidden`` contain a ``required``?
 
-    Both lists prune identically (a coloring with a forbidden pattern is
-    outside the hypothesis, one with a required pattern satisfies the claim),
-    so a surviving leaf is exactly a counterexample.
+    Both lists hold (color, pattern) pairs with color 1 or 2, and both prune
+    identically (a coloring with a forbidden pattern is outside the
+    hypothesis, one with a required pattern satisfies the claim), so a
+    surviving leaf is exactly a counterexample.
     """
     if n > 11:
         raise DomainError("universal checks support at most 11 vertices")
+    tracked = list(forbidden) + list(required)
+    for c, p in tracked:
+        if c not in (1, 2):
+            raise DomainError(f"color {c} of {format_pattern(p)} is not 1 or 2")
     desc = "universal(n={}, avoid {}, need {})".format(
         n,
         ",".join(f"{c}:{format_pattern(p)}" for c, p in forbidden),
         ",".join(f"{c}:{format_pattern(p)}" for c, p in required),
     )
-    tracked = list(forbidden) + list(required)
     allowed = [(1, 2)] * (n * (n - 1) // 2)
     return _check(
         desc, lambda budget: _scan(n, 2, allowed, tracked, False, budget), node_budget

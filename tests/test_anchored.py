@@ -1,10 +1,12 @@
 """Anchored detection against the whole-graph detectors and the naive oracles.
 
-The search engines call ``mono_present`` and ``rainbow_present`` with the
-edge they just decided, on a graph that had no copy before that edge.  These
-tests grow random graphs the same way: add one random edge, compare the
-anchored answer with the whole-graph one, and drop the edge again when it
-completed a copy, so every case keeps the "no copy without the edge" rule.
+The search engines bind the tests that ``mono_test`` and ``rainbow_test``
+build and call them with the edge they just decided, on a graph that had no
+copy before that edge.  These tests grow random graphs the same way: add one
+random edge, compare the anchored answer, from the built test and through
+``mono_present`` / ``rainbow_present``, with the whole-graph one, and drop
+the edge again when it completed a copy, so every case keeps the "no copy
+without the edge" rule.
 """
 
 import random
@@ -23,9 +25,11 @@ from ramseykit.patterns import (
     Star,
     _grow,
     mono_present,
+    mono_test,
     pattern_edges,
     pattern_order,
     rainbow_present,
+    rainbow_test,
 )
 
 MONO_PATTERNS = [
@@ -67,6 +71,7 @@ def test_anchored_mono_matches_whole_graph_and_naive():
         p = MONO_PATTERNS[trial % len(MONO_PATTERNS)]
         # paths and kipas up to the sizes the benchmark searches
         n = rng.randint(2, 12 if isinstance(p, (Path, Kipas)) else 8)
+        test = mono_test(n, p)
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)
         adj = [0] * n
@@ -74,8 +79,9 @@ def test_anchored_mono_matches_whole_graph_and_naive():
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             want = mono_present(n, adj, p)
-            assert mono_present(n, adj, p, (u, v)) == want, (p, n, adj, (u, v))
-            assert mono_present(n, adj, p, (v, u)) == want, (p, n, adj, (v, u))
+            for edge in ((u, v), (v, u)):
+                assert (test is not None and test(adj, *edge)) == want, (p, n, adj, edge)
+                assert mono_present(n, adj, p, edge) == want, (p, n, adj, edge)
             if n <= 6:
                 assert naive_has_mono(_as_coloring(n, adj), 1, p) == want, (p, n, adj)
             cases += 1
@@ -93,6 +99,7 @@ def test_anchored_rainbow_matches_whole_graph_and_naive():
         p = RAINBOW_PATTERNS[trial % len(RAINBOW_PATTERNS)]
         n = rng.randint(2, 7)
         k = rng.randint(1, 6)
+        test = rainbow_test(n, p)
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)
         colors = [0] * len(pairs)
@@ -100,7 +107,9 @@ def test_anchored_rainbow_matches_whole_graph_and_naive():
             r = pair_rank(u, v, n)
             colors[r] = rng.randint(1, k)
             want = rainbow_present(n, colors, p)
-            assert rainbow_present(n, colors, p, (u, v)) == want, (p, n, colors, (u, v))
+            for edge in ((u, v), (v, u)):
+                assert (test is not None and test(colors, *edge)) == want, (p, n, colors, edge)
+                assert rainbow_present(n, colors, p, edge) == want, (p, n, colors, edge)
             if n <= 6:
                 assert _naive_rainbow(n, colors, p) == want, (p, n, colors)
             cases += 1
@@ -114,11 +123,25 @@ def test_smallest_patterns_are_the_edge_itself():
     adj = [0b10, 0b01, 0]
     for p in (Path(1), Path(2), CompleteGraph(1), CompleteGraph(2), Kipas(1), Star(1)):
         assert mono_present(3, adj, p, (0, 1))
+        assert mono_test(3, p)(adj, 0, 1)
     for p in (Path(3), CompleteGraph(3), Kipas(2), Star(2)):
         assert not mono_present(3, adj, p, (0, 1))
+        assert not mono_test(3, p)(adj, 0, 1)
     colors = [5, 0, 0]
     assert rainbow_present(3, colors, Path(2), (0, 1))
+    assert rainbow_test(3, Path(2))(colors, 0, 1)
     assert not rainbow_present(3, colors, Path(3), (0, 1))
+    assert not rainbow_test(3, Path(3))(colors, 0, 1)
+
+
+def test_patterns_that_do_not_fit_get_no_test():
+    for p in (Path(4), Star(3), Kipas(3), CompleteGraph(4), LinearForestExact((2, 2)),
+              LinearForestMin(3, 2), P4_PLUS):
+        assert mono_test(3, p) is None
+        assert not mono_present(3, [0b110, 0b101, 0b011], p, (0, 1))
+    for p in (Path(4), Star(3), P4_PLUS):
+        assert rainbow_test(3, p) is None
+        assert not rainbow_present(3, [1, 2, 3], p, (0, 1))
 
 
 def _extensions(adj, free, start, count):
@@ -138,7 +161,8 @@ def _extensions(adj, free, start, count):
 
 
 def test_grow_matches_path_enumeration():
-    # _grow against every split of the missing vertices between the two ends,
+    # _grow against every split of the missing vertices between the two ends
+    # (up to 5 by walking one end, more by growing the y end first),
     # with random allowed sets and the single-vertex path x == y
     rng = random.Random(13)
     cases = hits = 0
@@ -156,7 +180,7 @@ def test_grow_matches_path_enumeration():
                 path.append(rng.choice(nxt))
         used = sum(1 << w for w in path)
         allowed = rng.randrange(1 << n) | used
-        order = len(path) + rng.randint(-1, 5)
+        order = len(path) + rng.randint(-1, 7)
         free = allowed & ~used
         need = order - len(path)
         x, y = path[0], path[-1]
@@ -166,7 +190,14 @@ def test_grow_matches_path_enumeration():
             for a in _extensions(adj, free, x, s)
             for b in _extensions(adj, free, y, need - s)
         )
-        assert _grow(adj, allowed, x, y, used, len(path), order) == want, (adj, allowed, path, order)
+        assert _grow(allowed, order, adj, x, y, used, len(path)) == want, (adj, allowed, path, order)
         cases += 1
         hits += want
     assert hits > 800 and cases - hits > 800, (cases, hits)
+    # the middle edge of the path 0-1-...-7 grows to all 8 vertices only by
+    # the even split, 3 vertices at each end
+    line = [0] * 8
+    for w in range(7):
+        line[w] |= 1 << w + 1
+        line[w + 1] |= 1 << w
+    assert _grow(255, 8, line, 3, 4)

@@ -150,6 +150,15 @@ def test_universal_check_budget():
     assert exc.value.partial is not None
 
 
+def test_universal_check_refuses_colors_other_than_1_and_2():
+    # refused, neither dropped (3) nor read as the rainbow key (0)
+    for c in (0, 3):
+        with pytest.raises(DomainError, match=f"color {c} of path:3"):
+            universal_check(5, [(c, Path(3))], [(2, Path(3))])
+        with pytest.raises(DomainError, match=f"color {c} of path:3"):
+            universal_check(5, [(1, Path(3))], [(c, Path(3))])
+
+
 def test_universal_check_k11_aborts_on_budget():
     # matchings and paired stars alone give astronomically many colorings with
     # no order-3 forest of six edges, so K_11 is out of exhaustive reach; the
@@ -323,7 +332,8 @@ def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
     def refuses(*args):
         raise CapabilityError("detector limit")
 
-    monkeypatch.setattr(search, "mono_present", refuses)
+    # _scan binds the tests that search.mono_test builds, once per scan
+    monkeypatch.setattr(search, "mono_test", lambda n, p: refuses)
     with pytest.raises(CapabilityError) as exc:
         brute_force_ramsey(Path(5), Path(4), 6)
     assert not isinstance(exc.value, BudgetExceeded)
