@@ -259,11 +259,9 @@ def loads_coloring(text: str) -> EdgeColoring:
             raise ParseError(f"duplicate edge ({u}, {v})", line_no)
         seen[r] = True
         colors[r] = c
-    for r, ok in enumerate(seen):
-        if not ok:
-            for u, v in pair_iter(n):
-                if pair_rank(u, v, n) == r:
-                    raise ParseError(f"missing edge ({u}, {v})")
+    if not all(seen):
+        u, v = next(pair for pair, ok in zip(pair_iter(n), seen) if not ok)
+        raise ParseError(f"missing edge ({u}, {v})")
     try:
         return EdgeColoring(n, k, colors, exact_flag=bool(exact))
     except DomainError as exc:

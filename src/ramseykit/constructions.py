@@ -290,10 +290,14 @@ def witness_small_kipas(n: int, verify: bool = False) -> EdgeColoring:
 
 
 def _assert_free(coloring: EdgeColoring, targets, label: str) -> None:
-    """Raise unless no (color, pattern) target occurs; a LinearForestMin
-    target occurs when the color's largest linear forest reaches its edges."""
+    """Raise unless no (color, pattern) target occurs; a Path target occurs
+    when the color's longest path reaches its order, a LinearForestMin target
+    when the color's largest linear forest reaches its edges."""
     for c, pattern in targets:
-        if isinstance(pattern, LinearForestMin):
+        if isinstance(pattern, Path):
+            n = coloring.n_vertices
+            present = patterns.longest_path_order(n, coloring.adjacency(c)) >= pattern.order
+        elif isinstance(pattern, LinearForestMin):
             edges, _ = patterns.max_linear_forest(coloring, c, pattern.min_order)
             present = edges >= pattern.min_edges
         else:

@@ -534,23 +534,6 @@ def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[in
     return tuple(comps)
 
 
-def mono_present(
-    n: int, adj: Sequence[int], p: PatternSpec, edge: tuple[int, int] | None = None
-) -> bool:
-    """Is there a copy of p in one color class of K_n?
-
-    With ``edge`` = (u, v), an edge of the class, it runs the anchored test
-    that :func:`mono_test` builds.  Without ``edge`` it runs the pattern's
-    whole-graph plan (``LinearForestMin``: :func:`forest_min_edges_exists`).
-    """
-    if edge is not None:
-        test = mono_test(n, p)
-        return test is not None and test(adj, *edge)
-    if isinstance(p, LinearForestMin):
-        return forest_min_edges_exists(n, adj, p.min_edges, p.min_order)
-    return _mono_copy(n, adj, p) is not None
-
-
 # --- anchored detection ---------------------------------------------------------
 #
 # The builders of the anchored tests, and the fast paths behind them.  Each
@@ -1039,22 +1022,6 @@ def has_rainbow(coloring: EdgeColoring, p: PatternSpec) -> Embedding | None:
     return None if w is None else Embedding(p, w, color=None)
 
 
-def rainbow_present(
-    n: int, colors: Sequence[int], p: PatternSpec, edge: tuple[int, int] | None = None
-) -> bool:
-    """Is there a rainbow copy of p in a flat color array (0 = undecided)?
-
-    With ``edge`` = (u, v), a decided edge, it runs the anchored test that
-    :func:`rainbow_test` builds.  The whole-graph test answers "absent" at
-    once when fewer colors are in use than p has edges; the anchored test
-    leaves that count to its caller, which keeps it per color class.
-    """
-    if edge is not None:
-        test = rainbow_test(n, p)
-        return test is not None and test(colors, *edge)
-    return _rainbow_copy(n, colors, p) is not None
-
-
 def rainbow_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], bool] | None:
     """The anchored rainbow test of p in K_n, a function of (colors, u, v)
     for a decided edge uv, or None when p does not fit in K_n.
@@ -1062,7 +1029,9 @@ def rainbow_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], 
     As in :func:`mono_test`, the test assumes that no rainbow copy avoids
     uv and looks only for copies through it: a star centred at u or v by
     its number of distinct decided colors, u first, and every other
-    pattern by its anchored plans through the rainbow placer.
+    pattern by its anchored plans through the rainbow placer.  Unlike
+    :func:`_rainbow_copy`, it leaves the count of colors in use to its
+    caller, which keeps it per color class.
     """
     order = pattern_order(p)
     if order > n:

@@ -241,6 +241,15 @@ def test_detect_capability_limit_emits_json(tmp_path, capsys):
         assert captured.err == ""
 
 
+def test_path_witness_verify_refuses_past_the_path_dp_cap(capsys):
+    # the K_28 witness's path targets go to the exact longest-path DP, which
+    # refuses more than 24 vertices before it allocates anything
+    assert main(["generate", "--family", "bk-path-witness", "--n", "20", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "capability limit: path search supports at most 24 vertices\n"
+    assert captured.err == ""
+
+
 def test_forest_search_abort_reports_a_capability_limit(tmp_path, capsys, monkeypatch):
     # the forest search's partial is a bare (edges, components) pair, not a
     # search report: the abort still reads as a capability limit, exit 2

@@ -41,7 +41,7 @@ from ramseykit.patterns import (
     parse_pattern,
     pattern_edges,
     pattern_order,
-    rainbow_present,
+    rainbow_test,
     verify_embedding,
     verify_forest_witness,
 )
@@ -339,9 +339,11 @@ def test_fewer_colors_in_use_than_edges_means_no_rainbow_copy():
             if len(in_use) >= len(pattern_edges(p)):
                 continue
             checked += 1
-            assert not rainbow_present(n, colors, p), (n, colors, p)
+            assert patterns._rainbow_copy(n, colors, p) is None, (n, colors, p)
+            # no test: p does not fit in K_n
+            test = rainbow_test(n, p)
             for edge in decided:
-                assert not rainbow_present(n, colors, p, edge), (n, colors, p, edge)
+                assert test is None or not test(colors, *edge), (n, colors, p, edge)
             if filled is not None and n <= 6:
                 naive += 1
                 coloring = EdgeColoring(n, max(in_use), filled)
