@@ -291,18 +291,32 @@ def witness_small_kipas(n: int, verify: bool = False) -> EdgeColoring:
 
 def _assert_free(coloring: EdgeColoring, targets, label: str) -> None:
     """Raise unless no (color, pattern) target occurs; a Path target occurs
-    when the color's longest path reaches its order, a LinearForestMin target
-    when the color's largest linear forest reaches its edges."""
+    when the color's longest path reaches its order, a Kipas target when a
+    path of its rim order lies in some hub's neighbourhood, a
+    LinearForestMin target when the color's largest linear forest reaches
+    its edges."""
     for c, pattern in targets:
         if isinstance(pattern, Path):
             n = coloring.n_vertices
             present = patterns.longest_path_order(n, coloring.adjacency(c)) >= pattern.order
-        elif isinstance(pattern, LinearForestMin):
+        elif isinstance(pattern, Kipas):
+            present = _has_kipas(coloring.adjacency(c), pattern.order)
+        else:
             edges, _ = patterns.max_linear_forest(coloring, c, pattern.min_order)
             present = edges >= pattern.min_edges
-        else:
-            present = patterns.has_mono_pattern(coloring, c, pattern) is not None
         if present:
             raise RamseykitError(
                 f"{label} contains {patterns.format_pattern(pattern)} in color {c}"
             )
+
+
+def _has_kipas(adj: tuple[int, ...], order: int) -> bool:
+    """Does some hub's neighbourhood, relabelled onto 0..d-1, hold a path of
+    ``order`` vertices?"""
+    for nb in adj:
+        if nb.bit_count() >= order:
+            rim = [w for w in range(len(adj)) if nb >> w & 1]
+            sub = [sum(1 << j for j, w in enumerate(rim) if adj[u] >> w & 1) for u in rim]
+            if patterns.longest_path_order(len(rim), sub) >= order:
+                return True
+    return False

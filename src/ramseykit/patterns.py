@@ -574,7 +574,7 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
     if order > n:
         return None
     if isinstance(p, Path):
-        return partial(_grow, (1 << n) - 1, order)
+        return partial(_grow, (1 << n) - 1, order - 2)
     if isinstance(p, Kipas):
         return partial(_kipas_through, p.order)
     if isinstance(p, Star):
@@ -595,40 +595,35 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
     return placed
 
 
-def _grow(
-    allowed: int, order: int, adj: Sequence[int], x: int, y: int, used: int = 0, size: int = 2
-) -> bool:
-    """Can the path on the vertex set ``used`` (``size`` vertices, ends x and
-    y) grow inside ``allowed`` to ``order`` vertices?  ``used`` = 0 stands
-    for the edge xy itself.  With x == y it asks for a path through that
-    vertex.
+def _grow(allowed: int, need: int, adj: Sequence[int], x: int, y: int, used: int = 0) -> bool:
+    """Can the path on the vertex set ``used`` (ends x and y) take ``need``
+    more vertices of ``allowed``?  ``used`` = 0 stands for the edge xy
+    itself.  With x == y it asks for a path through that vertex.
 
-    The last two vertices are fitted in closed form by :func:`_fit_two`.
-    With at most five vertices missing, one end grows by all but two of
-    them and the last two go anywhere, first from the x end, then from the
-    y end: every split of up to five vertices between the ends puts all
-    but two at one of them.  Longer paths grow the y end depth first and,
-    after each step, try to finish from the x end alone.
+    The x end walks by all but two of the missing vertices and the last two
+    go to either end (:func:`_walk`, :func:`_fit_two`).  With at most five
+    missing, the y end is then tried the same way: every split of up to
+    five vertices between the ends puts all but two at one of them.  With
+    more missing, the y end takes one step and the rest is grown again.
     """
     if not used:
         used = 1 << x | 1 << y
     free = allowed & ~used
-    need = order - size
     if free.bit_count() < need:
         return False
     if need <= 1:
         return need <= 0 or (adj[x] | adj[y]) & free != 0
     if need == 2:
         return _fit_two(adj, free, 1 << x, y)
-    if need <= 5:
-        return _walk(adj, free, x, y, need - 2) or (x != y and _walk(adj, free, y, x, need - 2))
-    if _grow_end(adj, allowed, x, used, need):
+    if _walk(adj, free, x, y, need - 2):
         return True
+    if need <= 5:
+        return x != y and _walk(adj, free, y, x, need - 2)
     ext = adj[y] & free
     while ext:
         low = ext & -ext
         ext ^= low
-        if _grow(allowed, order, adj, x, low.bit_length() - 1, used | low, size + 1):
+        if _grow(allowed, need - 1, adj, x, low.bit_length() - 1, used | low):
             return True
     return False
 
@@ -671,31 +666,16 @@ def _fit_two(adj: Sequence[int], free: int, ends: int, y: int) -> bool:
     return False
 
 
-def _grow_end(adj: Sequence[int], allowed: int, x: int, used: int, need: int) -> bool:
-    """Is there a path of ``need`` more vertices from x inside ``allowed`` - ``used``?"""
-    if need <= 0:
-        return True
-    ext = adj[x] & allowed & ~used
-    if need == 1:
-        return ext != 0
-    while ext:
-        low = ext & -ext
-        ext ^= low
-        if _grow_end(adj, allowed, low.bit_length() - 1, used | low, need - 1):
-            return True
-    return False
-
-
 def _kipas_through(order: int, adj: Sequence[int], u: int, v: int) -> bool:
     """A kipas using uv: uv is a spoke (hub u or v, rim through the other
     end) or a rim edge (hub in N(u) ∩ N(v), rim through uv)."""
     for hub, rim in ((u, v), (v, u)):
         nb = adj[hub]
-        if nb.bit_count() >= order and _grow(nb, order, adj, rim, rim, 1 << rim, 1):
+        if nb.bit_count() >= order and _grow(nb, order - 1, adj, rim, rim, 1 << rim):
             return True
     for hub in _bits(adj[u] & adj[v]):
         nb = adj[hub]
-        if nb.bit_count() >= order and _grow(nb, order, adj, u, v):
+        if nb.bit_count() >= order and _grow(nb, order - 2, adj, u, v):
             return True
     return False
 

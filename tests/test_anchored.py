@@ -165,7 +165,7 @@ def _extensions(adj, free, start, count):
 
 def test_grow_matches_path_enumeration():
     # _grow against every split of the missing vertices between the two ends
-    # (up to 5 by walking one end, more by growing the y end first),
+    # (up to 5 by walking either end, more by stepping the y end first),
     # with random allowed sets and the single-vertex path x == y
     rng = random.Random(13)
     cases = hits = 0
@@ -193,14 +193,17 @@ def test_grow_matches_path_enumeration():
             for a in _extensions(adj, free, x, s)
             for b in _extensions(adj, free, y, need - s)
         )
-        assert _grow(allowed, order, adj, x, y, used, len(path)) == want, (adj, allowed, path, order)
+        assert _grow(allowed, need, adj, x, y, used) == want, (adj, allowed, path, order)
         cases += 1
         hits += want
     assert hits > 800 and cases - hits > 800, (cases, hits)
     # the middle edge of the path 0-1-...-7 grows to all 8 vertices only by
-    # the even split, 3 vertices at each end
-    line = [0] * 8
-    for w in range(7):
-        line[w] |= 1 << w + 1
-        line[w + 1] |= 1 << w
-    assert _grow(255, 8, line, 3, 4)
+    # the even split, 3 vertices at each end; that of 0-1-...-9 only by 4 + 4,
+    # so its y end steps twice before the walks can finish
+    for order in (8, 10):
+        line = [0] * order
+        for w in range(order - 1):
+            line[w] |= 1 << w + 1
+            line[w + 1] |= 1 << w
+        mid = order // 2
+        assert _grow((1 << order) - 1, order - 2, line, mid - 1, mid)

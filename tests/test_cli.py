@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,17 @@ def test_path_witness_verify_refuses_past_the_path_dp_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == "capability limit: path search supports at most 24 vertices\n"
     assert captured.err == ""
+
+
+def test_kipas_witness_verify_runs_the_path_dp_per_hub(tmp_path, capsys):
+    # the K_28 witness's kipas targets go to the path DP on each hub's
+    # neighbourhood (at most 17 vertices here); the time bound fails a check
+    # that places the kipas in the whole graph, which takes about 20 s
+    start = time.perf_counter()
+    ecg = tmp_path / "b3.ecg"
+    assert main(["generate", "--family", "b3-kipas-witness", "--n", "12", "--verify", "-o", str(ecg)]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == f"wrote {ecg} (n=28, k=3)\n"
 
 
 def test_forest_search_abort_reports_a_capability_limit(tmp_path, capsys, monkeypatch):

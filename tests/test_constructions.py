@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramseykit.cli import main
@@ -16,6 +18,7 @@ from ramseykit.constructions import (
     witness_t_path,
 )
 from ramseykit.errors import CapabilityError, DescriptorError, DomainError, RamseykitError
+from ramseykit.naive import naive_has_mono
 from ramseykit.patterns import (
     Kipas,
     LinearForestMin,
@@ -201,6 +204,33 @@ def test_assert_free_checks_a_min_edge_forest_by_the_largest_forest():
     assert not isinstance(info.value, CapabilityError)
     assert str(info.value) == "probe contains lf:minedges=2,minorder=2 in color 2"
     _assert_free(all_blue, [(1, LinearForestMin(2))], "probe")
+
+
+def test_assert_free_decides_a_kipas_like_the_placer_and_the_naive_oracle():
+    # a kipas target is decided by the path DP on each hub's neighbourhood;
+    # it must agree with the whole-graph placer and, on small K_n, the
+    # brute-force map search
+    rng = random.Random(29)
+    cases = hits = naive = 0
+    for _ in range(1500):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, 3)
+        coloring = EdgeColoring(n, k, [rng.randint(1, k) for _ in pair_iter(n)])
+        c, p = rng.randint(1, k), Kipas(rng.randint(1, n - 1))
+        want = has_mono_pattern(coloring, c, p) is not None
+        if n <= 6:
+            assert naive_has_mono(coloring, c, p) == want, (coloring.colors, c, p)
+            naive += 1
+        try:
+            _assert_free(coloring, [(c, p)], "probe")
+        except RamseykitError as e:
+            assert not isinstance(e, CapabilityError)
+            assert want, (coloring.colors, c, p)
+        else:
+            assert not want, (coloring.colors, c, p)
+        cases += 1
+        hits += want
+    assert hits > 400 and cases - hits > 400 and naive > 500, (cases, hits, naive)
 
 
 def test_bk_witnesses_use_all_colors():

@@ -321,6 +321,20 @@ def test_node_counts_and_witnesses_are_pinned():
     )
 
 
+def test_degenerate_branches_of_the_scan_are_pinned():
+    # a tracked pattern with no edges holds in the empty graph: the scan
+    # returns before its first free edge, so r(P_1, P_3) is 1 in no nodes
+    rep = brute_force_ramsey(Path(1), Path(3), 3)
+    assert rep.value.lo == rep.value.hi == 1 and rep.nodes_explored == 0
+    # with one color every edge is fixed and each is a rainbow P_2: the
+    # prefix skips its tests after the first and costs its one node
+    rep = gr_desk_verify(1, Path(2), Path(5), 3, mode="full")
+    assert rep.holds and rep.nodes_explored == 1
+    # a rainbow P_1 has no edges, so its anchored test is the constant one
+    rep = gr_desk_verify(2, Path(1), Path(9), 4, mode="full")
+    assert rep.holds and rep.nodes_explored == 2
+
+
 def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
     from ramseykit import search
     from ramseykit.errors import BudgetExceeded
