@@ -154,7 +154,8 @@ def _cmd_generate(args) -> int:
     elif fam == "g3":
         coloring = constructions.g3_coloring(args.n)
     elif fam == "bk-path-witness":
-        coloring = constructions.witness_bk_path(args.k or 3, args.n, verify=args.verify)
+        k = 3 if args.k is None else args.k
+        coloring = constructions.witness_bk_path(k, args.n, verify=args.verify)
     elif fam == "t-path-witness":
         coloring = constructions.witness_t_path(args.n, verify=args.verify)
     elif fam == "b3-kipas-witness":

@@ -115,7 +115,7 @@ def build_family(d: FamilyDescriptor) -> EdgeColoring:
                 )
             colors.append(c)
         k = len(d.parts) + 1 if d.family == "bk" else 3
-        return _exactified(EdgeColoring(n, k, colors))
+        return EdgeColoring(n, k, colors, exact_flag=len(set(colors)) == k)
     if d.family == "g2":
         if d.special is None or len(d.special) != 2:
             raise DescriptorError("g2: needs special vertices (x, y)")
@@ -134,7 +134,7 @@ def build_family(d: FamilyDescriptor) -> EdgeColoring:
                 colors.append(4)
             else:
                 colors.append(1)
-        return _exactified(EdgeColoring(n, 4, colors))
+        return EdgeColoring(n, 4, colors, exact_flag=len(set(colors)) == 4)
     if d.family == "g3":
         if d.special is None or len(d.special) != 3:
             raise DescriptorError("g3: needs special vertices (a, b, c)")
@@ -151,16 +151,8 @@ def build_family(d: FamilyDescriptor) -> EdgeColoring:
                 colors.append(4)
             else:
                 colors.append(1)
-        return _exactified(EdgeColoring(n, 4, colors))
+        return EdgeColoring(n, 4, colors, exact_flag=len(set(colors)) == 4)
     raise DescriptorError(f"unknown family {d.family!r}")
-
-
-def _exactified(coloring: EdgeColoring) -> EdgeColoring:
-    """Copy with exact_flag set iff every declared color appears."""
-    exact = coloring.colors_used() == frozenset(range(1, coloring.n_colors + 1))
-    if exact == coloring.exact_flag:
-        return coloring
-    return EdgeColoring(coloring.n_vertices, coloring.n_colors, coloring.colors, exact_flag=exact)
 
 
 def _ranges(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -204,7 +196,7 @@ def witness_kipas_linear(n: int, m: int, verify: bool = False) -> EdgeColoring:
     extra = (m + 1) // 2 - 1
     size = n + extra
     colors = [1 if v < n else 2 for u, v in pair_iter(size)]
-    coloring = _exactified(EdgeColoring(size, 2, colors))
+    coloring = EdgeColoring(size, 2, colors, exact_flag=len(set(colors)) == 2)
     if verify:
         _assert_free(
             coloring, [(1, Kipas(n)), (2, LinearForestMin(m))], f"kipas-linear witness ({n}, {m})"

@@ -527,8 +527,6 @@ def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[in
                 break
             seq.append(nxt[0])
             seen.add(nxt[0])
-        if seq[0] > seq[-1]:
-            seq.reverse()
         comps.append(tuple(seq))
     comps.sort(key=lambda c: (-len(c), c))
     return tuple(comps)

@@ -472,96 +472,39 @@ def star_forest_check(coloring: EdgeColoring, c: int) -> bool:
 def multipartite_ham(part_sizes: list[int], mode: str = "cycle") -> list[int]:
     """Hamiltonian cycle or path of the complete multipartite graph.
 
-    Vertices are numbered consecutively by part.  Follows the inductive
-    construction (peel one vertex from each largest part, recurse, splice)
-    rather than a generic solver, so it doubles as a trace of that argument.
+    Vertices are numbered consecutively by part.  Cycle mode needs the other
+    parts to sum to at least the largest and a total of at least 3; path
+    mode needs them to sum to exactly largest-1.
 
-    Cycle mode needs the other parts to sum to at least the largest and a
-    total of at least 3; path mode needs them to sum to exactly largest-1.
+    List the n vertices largest part first, so that each part is a run of
+    the list L, and let h = ceil(n/2).  Both modes interleave the first h
+    entries with the rest: L[0], L[h], L[1], L[h+1], ...  Each step joins
+    an entry before L[h] to one h or h-1 places later, so a part holding a
+    step would be a run of at least h vertices across L[h-1], L[h].  The
+    largest part has at most h vertices, so its run ends by L[h-1]; any
+    other part of h vertices comes after it, from L[h] on.  The cycle closes
+    from L[h-1] (n odd) or L[n-1] (n even) to L[0], and the largest part
+    stops before either: it has at most n/2 vertices, fewer than h when n
+    is odd.
     """
     if mode not in ("cycle", "path"):
         raise DomainError("mode must be 'cycle' or 'path'")
     if not part_sizes or any(s < 0 for s in part_sizes):
         raise DomainError("part sizes must be nonnegative")
-    sizes = [s for s in part_sizes if s > 0]
-    if not sizes:
+    n = sum(part_sizes)
+    if not n:
         raise DomainError("at least one nonempty part required")
-    # vertex labels per part, in declaration order
-    labels: list[list[int]] = []
-    base = 0
-    for s in part_sizes:
-        labels.append(list(range(base, base + s)))
-        base += s
-    parts = [list(p) for p in labels if p]
-    total = sum(len(p) for p in parts)
-    largest = max(len(p) for p in parts)
-    rest = total - largest
+    largest = max(part_sizes)
     if mode == "cycle":
-        if total < 3:
+        if n < 3:
             raise DomainError("a cycle needs at least 3 vertices")
-        if rest < largest:
+        if n - largest < largest:
             raise DomainError("cycle mode needs the other parts to cover the largest")
-        return _ham_cycle(parts)
-    if rest != largest - 1:
+    elif n - largest != largest - 1:
         raise DomainError("path mode needs the other parts to sum to largest - 1")
-    return _ham_path(parts)
-
-
-def _ham_cycle(parts: list[list[int]]) -> list[int]:
-    parts = sorted(parts, key=lambda p: (len(p), p))
-    r = len(parts)
-    if all(len(p) == 1 for p in parts):
-        return [p[0] for p in parts]
-    if r == 2:
-        # the size condition forces balance here: alternate the two sides
-        return [v for pair in zip(parts[0], parts[1]) for v in pair]
-    maxsz = len(parts[-1])
-    s = next(i for i in range(r) if len(parts[i]) == maxsz)
-    peeled = [parts[i][-1] for i in range(s, r)]
-    sub = [p[:-1] if i >= s else list(p) for i, p in enumerate(parts)]
-    cycle = _ham_cycle([p for p in sub if p])
-
-    loc = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            loc[v] = i
-
-    # chain to splice in: just [v_{r-1}] when one part was peeled, else the
-    # peeled clique's cycle minus one edge: v_{r-2}, v_{r-3}, ..., v_s, v_{r-1}
-    if len(peeled) == 1:
-        chain = peeled
-        head_part = tail_part = r - 1
-    else:
-        chain = peeled[-2::-1] + [peeled[-1]]
-        head_part = r - 2
-        tail_part = r - 1
-    m = len(cycle)
-    for i in range(m):
-        x, y = cycle[i], cycle[(i + 1) % m]
-        if loc[x] != head_part and loc[y] != tail_part:
-            return cycle[: i + 1] + chain + cycle[i + 1:]
-    raise AssertionError("splice point must exist for r >= 3")
-
-
-def _ham_path(parts: list[list[int]]) -> list[int]:
-    parts = sorted(parts, key=lambda p: (len(p), p))
-    total = sum(len(p) for p in parts)
-    if total == 1:
-        return [parts[0][0]]
-    if total == 2:
-        return [parts[0][0], parts[1][0]]
-    big = parts[-1]
-    if total == 3:
-        # necessarily sizes (1, 2): largest part takes the two endpoints
-        return [big[0], parts[0][0], big[1]]
-    v = big[-1]
-    sub = [list(p) for p in parts]
-    sub[-1] = sub[-1][:-1]
-    cycle = _ham_cycle([p for p in sub if p])
-    bigset = set(big)
-    m = len(cycle)
-    for i in range(m):
-        if cycle[i] not in bigset:
-            # break the edge after position i and hang v off cycle[i]
-            return [v] + cycle[i::-1] + cycle[:i:-1]
-    raise AssertionError("some cycle vertex lies outside the largest part")
+    lo = sum(part_sizes[: part_sizes.index(largest)])
+    order = [*range(lo, lo + largest), *range(lo), *range(lo + largest, n)]
+    h = (n + 1) // 2
+    seq = [0] * n
+    seq[::2], seq[1::2] = order[:h], order[h:]
+    return seq

@@ -6,7 +6,7 @@ import pytest
 
 from ramseykit import patterns
 from ramseykit.cli import main
-from ramseykit.coloring import EdgeColoring, read_coloring_file, write_coloring_file
+from ramseykit.coloring import EdgeColoring, loads_coloring, read_coloring_file, write_coloring_file
 
 
 def test_formula_command(capsys):
@@ -82,6 +82,20 @@ def test_generate_reports_missing_or_malformed_arguments(capsys):
         assert main(["generate", "--family", family, "--parts", "2,x"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --parts takes comma-separated sizes, got '2,x'\n"
+
+
+def test_generate_bk_path_witness_refuses_k_zero(capsys):
+    # --k 0 is a value like --k -1, not an absent option that defaults to 3
+    assert main(["generate", "--family", "bk-path-witness", "--k", "0", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: need k >= 3\n"
+
+
+def test_generate_writes_ecg_to_stdout_without_output(capsys):
+    from ramseykit.constructions import witness_small_kipas
+
+    assert main(["generate", "--family", "gamma2"]) == 0
+    assert loads_coloring(capsys.readouterr().out) == witness_small_kipas(3)
 
 
 def test_compute_command(tmp_path, capsys):
@@ -179,6 +193,27 @@ def test_budget_aborts_emit_json(capsys):
     assert code == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["nodes"] == 51 and payload["exact"] is False and payload["lo"] >= 1
+
+
+def test_check_32_reports_a_counterexample(monkeypatch, tmp_path, capsys):
+    from ramseykit import search
+
+    found = EdgeColoring(5, 2, [1, 2] * 5, exact_flag=True)
+    monkeypatch.setattr(search, "randomized_kipas_forest_refutation", lambda *args: found)
+    witness = tmp_path / "cx.ecg"
+    argv = ["check", "--lemma", "3.2", "--n", "12", "--a", "3", "--samples", "4",
+            "--witness-out", str(witness), "--json"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "check": "3.2",
+        "holds": False,
+        "note": "randomized refutation search over 4 samples (seed 0);"
+        " finding nothing is evidence, not a proof",
+    }
+    assert read_coloring_file(witness) == found
+    assert main(argv[:-1]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "counterexample found on K_15" and lines[-1] == f"witness {witness}"
 
 
 def test_check_abort_emits_json(monkeypatch, capsys):

@@ -150,6 +150,9 @@ def test_gr_path_examples():
     assert gr_p5_path(4, 6).value == 7
     assert gr_p4plus_path(4, 6).value == 8
     assert gr_p4plus_path(5, 8).value == 8
+    # past the small band both give ceil((3n-3)/2), as bk_path does
+    for k, n, value in ((4, 10, 14), (4, 11, 15), (5, 14, 20)):
+        assert gr_p5_path(k, n).value == gr_p4plus_path(k, n).value == bk_path(k, n).value == value
     assert gr_k13_path(3, 6).value == 8
     assert gr_k13_path(4, 6).value == 6
     with pytest.raises(DomainError):

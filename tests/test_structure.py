@@ -573,6 +573,43 @@ def test_multipartite_ham_random(rng):
         _validate(sizes, seq, wrap=False)
 
 
+def _ham_refusal(sizes, mode):
+    """The refusal multipartite_ham owes these sizes, or None."""
+    total, largest = sum(sizes), max(sizes, default=0)
+    if not sizes:
+        return "part sizes must be nonnegative"
+    if not total:
+        return "at least one nonempty part required"
+    if mode == "path":
+        if total - largest != largest - 1:
+            return "path mode needs the other parts to sum to largest - 1"
+    elif total < 3:
+        return "a cycle needs at least 3 vertices"
+    elif total - largest < largest:
+        return "cycle mode needs the other parts to cover the largest"
+    return None
+
+
+def test_multipartite_ham_every_small_size_vector():
+    # all 5,602 calls on at most 4 parts of 0..6 vertices, zero-size parts and
+    # the one-vertex path included: each is a valid sequence or the refusal
+    # of the first condition it breaks
+    for r in range(5):
+        for sizes in itertools.product(range(7), repeat=r):
+            for mode in ("cycle", "path"):
+                refusal = _ham_refusal(sizes, mode)
+                if refusal is None:
+                    _validate(sizes, multipartite_ham(list(sizes), mode), wrap=mode == "cycle")
+                    continue
+                with pytest.raises(DomainError) as caught:
+                    multipartite_ham(list(sizes), mode)
+                assert str(caught.value) == refusal, (sizes, mode)
+    assert multipartite_ham([0, 1, 0], "path") == [0]
+    with pytest.raises(DomainError) as caught:
+        multipartite_ham([-1, 2], "nope")
+    assert str(caught.value) == "mode must be 'cycle' or 'path'"
+
+
 def _validate(sizes, seq, wrap):
     assert sorted(seq) == list(range(sum(sizes)))
     part_of = {}
