@@ -15,6 +15,13 @@ loop, :func:`_rows_counterexample`, over rows of ``structure.SHAPES``, each
 row a builder of allowed-color lists; ``structure.CONTEXTS`` names the rows
 of each rainbow context's case list.
 
+A color-symmetric scan (every free edge allows one shared tuple, and its
+colors that no fixed edge uses track the same mono patterns) searches only
+the first of those colors at its first free edge and counts the refuted
+subtree once more for each later one, its mirror image.  Reported node
+counts (``nodes_explored``) are therefore always the size of the plain
+rank-order tree, counted or searched.
+
 Node budgets abort with a partial result attached to a
 :class:`CapabilityError` rather than running unbounded.
 """
@@ -51,6 +58,10 @@ RAINBOW = 0
 
 DEFAULT_NODE_BUDGET = 20_000_000
 
+# _scan counts the first free edge's mirror images instead of searching them;
+# False keeps the plain scan, the oracle for the mirrored one
+_MIRROR = True
+
 
 @dataclass
 class SearchReport:
@@ -59,7 +70,7 @@ class SearchReport:
     quantity: str
     value: ValueOrInterval
     extremal_witness: EdgeColoring | None
-    nodes_explored: int
+    nodes_explored: int  # the size of the plain rank-order tree
     wall_time: float
     notes: tuple[str, ...] = ()
 
@@ -71,17 +82,20 @@ class CheckReport:
     quantity: str
     holds: bool
     counterexample: EdgeColoring | None
-    nodes_explored: int
+    nodes_explored: int  # the size of the plain rank-order tree
     wall_time: float
     notes: tuple[str, ...] = ()
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit")
+    __slots__ = ("nodes", "limit", "mirrored")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise DomainError(f"node budget must be >= 0, got {limit}")
         self.nodes = 0
         self.limit = limit
+        self.mirrored = 0  # nodes counted for mirror images, not searched
 
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount
@@ -124,6 +138,18 @@ def _scan(
     The per-node work is kept small: a node counts itself on the budget
     without a call, calls its color's bound mono tests in line, and runs
     the rainbow tests only when a rainbow pattern is tracked.
+
+    The first free edge mirrors.  Call the colors of its tuple that no
+    fixed edge uses twins when every free edge allows that same tuple and
+    each twin tracks the same mono pattern list.  Swapping two twins then
+    fixes every fixed edge, every allowed tuple and every prune (rainbow
+    tests see only which colors differ), so the subtree of a later twin is
+    the first twin's mirror image.  The first twin is searched; if it finds
+    nothing, each later twin adds its node count (its own node included)
+    to the budget and ``budget.mirrored`` instead of being searched, and a
+    total past the limit aborts at ``limit + 1`` as the plain scan would.
+    Values, witnesses and node counts are those of the plain scan, which
+    ``_MIRROR = False`` keeps as the oracle.
     """
     edges = list(pair_iter(n))
     ecolor = [0] * len(edges)
@@ -179,7 +205,8 @@ def _scan(
         if c not in hit and mono_hit(c, *edges[i]):
             hit.add(c)
         rainbow_seen = rainbow_hit(*edges[i])
-    for c in sorted({choices[0] for choices in allowed if len(choices) == 1}):
+    fixed = {choices[0] for choices in allowed if len(choices) == 1}
+    for c in sorted(fixed):
         budget.spend()
         if rainbow_seen or c in hit:
             return None
@@ -220,7 +247,29 @@ def _scan(
             class_edges[c] -= 1
         return None
 
-    return dfs(0)
+    # the first free edge's mirror images (see the docstring)
+    first = allowed[free[0]] if free and _MIRROR else ()
+    twins = [c for c in first if c not in fixed]
+    if len(twins) < 2 or any(allowed[i] != first for i in free) or any(
+        [p for key, p in tracked if key == c] != [p for key, p in tracked if key == twins[0]]
+        for c in twins[1:]
+    ):
+        return dfs(0)
+    allowed = list(allowed)  # dfs reads each first-edge color alone from here
+    for c in first:
+        if c in twins[1:]:
+            budget.mirrored += refuted
+            budget.nodes = min(budget.nodes + refuted, budget.limit + 1)
+            budget.spend(0)  # past the limit, aborts where the plain scan would
+            continue
+        start = budget.nodes
+        allowed[free[0]] = (c,)
+        got = dfs(0)
+        if got is not None:
+            return got
+        if c == twins[0]:
+            refuted = budget.nodes - start
+    return None
 
 
 def _rows_counterexample(
@@ -419,6 +468,8 @@ def universal_check(
     hypothesis, one with a required pattern satisfies the claim), so a
     surviving leaf is exactly a counterexample.
     """
+    if n < 1:
+        raise DomainError(f"universal checks need at least 1 vertex, got {n}")
     if n > 11:
         raise DomainError("universal checks support at most 11 vertices")
     tracked = list(forbidden) + list(required)

@@ -195,6 +195,15 @@ def test_budget_aborts_emit_json(capsys):
     assert payload["nodes"] == 51 and payload["exact"] is False and payload["lo"] >= 1
 
 
+def test_negative_budget_is_a_domain_error(capsys):
+    argv = ["compute", "--quantity", "ramsey", "--red", "path:3", "--blue", "path:3",
+            "--max-n", "4", "--budget", "-5"]
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "node budget must be >= 0, got -5"}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: node budget must be >= 0, got -5\n"
+
+
 def test_check_32_reports_a_counterexample(monkeypatch, tmp_path, capsys):
     from ramseykit import search
 

@@ -159,6 +159,28 @@ def test_universal_check_refuses_colors_other_than_1_and_2():
             universal_check(5, [(1, Path(3))], [(c, Path(3))])
 
 
+def test_universal_check_refuses_fewer_than_one_vertex():
+    # K_{-1} would have n(n-1)/2 = 1 allowed entry and no edge to put it on
+    for n in (-1, 0):
+        with pytest.raises(DomainError, match=f"at least 1 vertex, got {n}"):
+            universal_check(n, [], [(1, Path(2))])
+    assert universal_check(1, [], [(1, Path(2))]).counterexample.n_vertices == 1
+
+
+def test_negative_node_budgets_are_refused():
+    for run in (
+        lambda b: brute_force_ramsey(Path(3), Path(3), 4, node_budget=b),
+        lambda b: compute_t(Path(4), 5, node_budget=b),
+        lambda b: universal_check(4, [], [(1, Path(3))], node_budget=b),
+        lambda b: gr_desk_verify(3, Star(3), Path(4), 4, "full", node_budget=b),
+    ):
+        with pytest.raises(DomainError, match="node budget must be >= 0, got -5"):
+            run(-5)
+    # a budget of 0 is valid: the first node aborts
+    with pytest.raises(CapabilityError, match="search exceeded 0 nodes"):
+        brute_force_ramsey(Path(3), Path(3), 4, node_budget=0)
+
+
 def test_universal_check_k11_aborts_on_budget():
     # matchings and paired stars alone give astronomically many colorings with
     # no order-3 forest of six edges, so K_11 is out of exhaustive reach; the
@@ -356,3 +378,146 @@ def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
         universal_check(5, [(1, Path(3))], [(2, Path(3))])
     assert not isinstance(exc.value, BudgetExceeded)
     assert exc.value.partial.notes == ("aborted on a capability limit; no conclusion",)
+
+
+# --- the first free edge's mirror images -----------------------------------------
+
+
+def _outcome(run):
+    """Everything a search returns or raises, wall time left out."""
+    try:
+        rep = run()
+    except CapabilityError as err:
+        return type(err).__name__, str(err), _fields(err.partial)
+    return "report", _fields(rep)
+
+
+def _fields(rep):
+    if rep is None:
+        return None
+    found = getattr(rep, "extremal_witness", None) or getattr(rep, "counterexample", None)
+    return (
+        rep.quantity, getattr(rep, "value", None), getattr(rep, "holds", None),
+        found and (found.n_vertices, found.colors, found.exact_flag),
+        rep.nodes_explored, rep.notes,
+    )
+
+
+def _mirror_and_plain(monkeypatch, run):
+    from ramseykit import search
+
+    mirrored = _outcome(run)
+    monkeypatch.setattr(search, "_MIRROR", False)
+    plain = _outcome(run)
+    monkeypatch.setattr(search, "_MIRROR", True)
+    return mirrored, plain
+
+
+def _mirror_grid():
+    from ramseykit.structure import CONTEXTS
+
+    targets = (Path(4), CompleteGraph(3))
+    for p in (Path(3), Path(4), Path(5), Path(6), CompleteGraph(3), Kipas(3), Star(3),
+              LinearForestExact((2, 3))):
+        yield lambda p=p: brute_force_ramsey(p, p, 7)
+    # scans whose colors track different patterns, which never mirror
+    yield lambda: brute_force_ramsey(CompleteGraph(3), Path(4), 7)
+    yield lambda: brute_force_ramsey(Path(5), Kipas(3), 7)
+    yield lambda: universal_check(6, [(1, Kipas(4))], [(2, Path(4))])
+    for rainbow, least_k, _ in CONTEXTS.values():
+        for target in targets:
+            for k, top in ((2, 6), (3, 6), (4, 5)):
+                for n in range(2, top + 1):
+                    yield lambda k=k, n=n, r=rainbow, t=target: gr_desk_verify(k, r, t, n, "full")
+            for k in (least_k, least_k + 1):
+                for n in range(1, 8):
+                    yield lambda k=k, n=n, r=rainbow, t=target: gr_desk_verify(
+                        k, r, t, n, "structure"
+                    )
+    yield lambda: compute_bk(3, Path(4), 9)
+    yield lambda: compute_bk(4, Kipas(3), 9)
+    yield lambda: compute_t(Path(5), 9)
+    yield lambda: compute_t(Kipas(4), 9)
+
+
+def test_first_edge_mirror_matches_the_plain_scan(monkeypatch):
+    # values, witnesses, verdicts, notes, errors and node counts are those
+    # of the plain rank-order scan
+    for run in _mirror_grid():
+        mirrored, plain = _mirror_and_plain(monkeypatch, run)
+        assert mirrored == plain
+
+
+def test_first_edge_mirror_aborts_where_the_plain_scan_does(monkeypatch):
+    # gr_4(K13:P4) on K_5 mirrors its first subtree of 1,205 nodes three
+    # times, so most of these budgets run out inside a mirror image
+    runs = [
+        (4_821, 37, lambda b: gr_desk_verify(4, Star(3), Path(4), 5, "full", node_budget=b)),
+        (1_088, 3, lambda b: brute_force_ramsey(Path(5), Path(5), 7, node_budget=b)),
+    ]
+    for top, step, run in runs:
+        for budget in [*range(0, top, step), top - 2, top - 1, top]:
+            mirrored, plain = _mirror_and_plain(monkeypatch, lambda: run(budget))
+            assert mirrored == plain, budget
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every search budget made while the fixture is in use."""
+    from ramseykit import search
+
+    made = []
+
+    class Recorded(search._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Budget", Recorded)
+    return made
+
+
+def test_first_edge_mirror_runs_only_on_color_symmetric_scans(budgets):
+    from ramseykit.search import _Budget, _scan
+    from ramseykit.structure import CASE_CLIQUE_PLUS_VERTEX, CASE_HUB_TRIPLE, SHAPES
+
+    def mirrored(run):
+        budgets.clear()
+        rep = run()
+        return budgets[0].mirrored, rep.nodes_explored
+
+    # every edge allows all colors and every color tracks the same target
+    assert mirrored(lambda: gr_desk_verify(3, Path(5), Path(4), 6, "full")) == (13_448, 20_172)
+    assert mirrored(lambda: gr_desk_verify(4, Star(3), Path(4), 5, "full")) == (3_615, 4_820)
+    assert mirrored(lambda: brute_force_ramsey(Path(6), Path(6), 8)) == (32_021, 64_114)
+    # different patterns per color
+    assert mirrored(lambda: brute_force_ramsey(CompleteGraph(3), Path(5), 9)) == (0, 28_748)
+    assert mirrored(lambda: universal_check(7, [(1, Kipas(5))], [(2, Path(5))])) == (0, 1_126)
+    # free edges with different tuples
+    assert mirrored(lambda: compute_bk(3, Path(4), 9))[0] == 0
+
+    def scan(n, k, allowed, tracked, surjective=False):
+        budget = _Budget(10**6)
+        got = _scan(n, k, allowed, tracked, surjective, budget)
+        return budget.mirrored, budget.nodes, got and got.colors
+
+    def row(label, n, target):
+        (allowed,) = SHAPES[label][0](n, 4)
+        return scan(n, 4, allowed, [(c, target) for c in range(1, 5)], True)
+
+    # the fixed edge is color 1, so only the colors 2..4 mirror each other;
+    # no 4-coloring of K_3 is exact
+    assert row(CASE_CLIQUE_PLUS_VERTEX, 3, Path(4)) == (10, 21, None)
+    # the free edges allow colors 1 and 4, which fixed edges use as well:
+    # color 1 fails at the first free edge where color 4 succeeds
+    assert row(CASE_HUB_TRIPLE, 5, Path(5)) == (0, 8, (2, 3, 4, 4, 4, 1, 1, 1, 1, 1))
+
+    paths = [(c, Path(3)) for c in (1, 2, 3)]
+    # one shared color besides a fixed one: nothing to mirror
+    assert scan(4, 2, [(1,)] + [(1, 2)] * 5, paths[:2]) == (0, 5, None)
+    # colors 1 and 2 at the first free edge, but the later edges allow 1 and 3
+    assert scan(3, 3, [(1, 2), (1, 3), (1, 3)], paths) == (0, 9, (2, 1, 3))
+    # colors 1 and 3 mirror each other around color 2, which a fixed edge
+    # uses and which cannot go on the first edge: 1 + 7 + 1 + 7 nodes
+    lfx = [(2, LinearForestExact((2, 2)))]
+    assert scan(4, 3, [(1, 2, 3)] * 5 + [(2,)], paths + lfx) == (7, 16, None)
