@@ -17,6 +17,11 @@ every edge: ``build_family`` checks a descriptor's choices against it,
 ``complete_parts`` (behind ``generate`` and the witnesses) builds through
 ``build_family``, and the ``bk`` and ``t`` rows of ``structure.SHAPES`` scan it.
 
+``SPECIAL_SHAPES`` states g2, g3 and the three exceptional shapes of the p5
+case list once each, as one table over their special vertices, and
+``special_allowed`` reads a row onto K_n: ``build_family`` builds g2 and g3
+from it, and ``structure.SHAPES`` scans and checks all five.
+
 Part-to-vertex assignment is deterministic: parts occupy consecutive vertex
 ranges in declaration order, so generated files are stable test fixtures.
 """
@@ -48,6 +53,34 @@ class FamilyDescriptor:
 # internal color pairs of the three parts in the t and g1 families, ascending
 # as the search tries them
 _T_INTERNAL = ((1, 3), (1, 2), (2, 3))
+
+# The k = 4 shapes on s special vertices a, b, ...; the p5 ones follow Thomason
+# and Wagner, "Complete graphs with no rainbow path", J. Graph Theory 54 (2007).
+# label -> (s, least N, greatest N or None, allowed colors): the key "ab" gives
+# the special pair ab, the key "a" each edge from a to an ordinary vertex, and
+# every other edge has color 1.  A tuple lists its colors in scan order.
+SPECIAL_SHAPES = {
+    "g2": (2, 3, None, {"ab": (2,), "a": (3,), "b": (4,)}),  # a, b are x, y
+    "g3": (3, 3, None, {"ab": (2,), "bc": (3,), "ac": (4,)}),
+    "hub-triple": (3, 4, None, {"ab": (2,), "ac": (3,), "bc": (4,), "a": (1, 4)}),
+    "matched-quad": (
+        4, 4, None, {"ab": (2,), "cd": (1, 2), "ac": (3,), "bd": (3,), "ad": (4,), "bc": (4,)},
+    ),
+    "sporadic-5": (5, 5, 5, {
+        "ac": (2,), "bd": (2,), "be": (2,), "ab": (3,), "cd": (3,), "ce": (3,), "de": (4,),
+    }),
+}
+
+
+def special_allowed(label: str, n: int, special) -> list[tuple[int, ...]]:
+    """The allowed colors of every edge of K_n, in pair_rank order, for the
+    ``SPECIAL_SHAPES`` row ``label`` with special vertex i at ``special[i]``."""
+    shape = SPECIAL_SHAPES[label][3]
+    name = dict(zip(special, "abcde"))
+    return [
+        shape.get("".join(sorted(name.get(u, "") + name.get(v, ""))), (1,))
+        for u, v in pair_iter(n)
+    ]
 
 
 def _check_partition(d: FamilyDescriptor, min_size: int, n_parts: int, allow_empty: int) -> None:
@@ -103,56 +136,33 @@ def build_family(d: FamilyDescriptor) -> EdgeColoring:
             _check_partition(d, min_size=2, n_parts=len(d.parts), allow_empty=0)
         else:
             _check_partition(d, min_size=1, n_parts=3, allow_empty=0 if d.family == "t" else 1)
-        choices = d.internal_choices or {}
-        colors = []
-        for e, allowed in zip(pair_iter(n), part_allowed(d.family, d.parts)):
-            c = allowed[0] if len(allowed) == 1 else choices.get(e)
-            if c is None:
-                raise DescriptorError(f"{d.family}: internal edge {e} has no color choice")
-            if c not in allowed:
-                raise DescriptorError(
-                    f"{d.family}: internal edge {e} colored {c}, allowed {list(allowed)}"
-                )
-            colors.append(c)
+        allowed_list = part_allowed(d.family, d.parts)
         k = len(d.parts) + 1 if d.family == "bk" else 3
-        return EdgeColoring(n, k, colors, exact_flag=len(set(colors)) == k)
-    if d.family == "g2":
-        if d.special is None or len(d.special) != 2:
-            raise DescriptorError("g2: needs special vertices (x, y)")
-        x, y = d.special
-        if x == y or not (0 <= x < n and 0 <= y < n):
-            raise DescriptorError("g2: x, y must be distinct vertices")
-        if n < 3:
-            raise DescriptorError("g2: needs at least 3 vertices")
-        colors = []
-        for u, v in pair_iter(n):
-            if {u, v} == {x, y}:
-                colors.append(2)
-            elif x in (u, v):
-                colors.append(3)
-            elif y in (u, v):
-                colors.append(4)
-            else:
-                colors.append(1)
-        return EdgeColoring(n, 4, colors, exact_flag=len(set(colors)) == 4)
-    if d.family == "g3":
-        if d.special is None or len(d.special) != 3:
-            raise DescriptorError("g3: needs special vertices (a, b, c)")
-        a, b, c = d.special
-        if len({a, b, c}) != 3 or not all(0 <= v < n for v in (a, b, c)):
-            raise DescriptorError("g3: a, b, c must be distinct vertices")
-        colors = []
-        for u, v in pair_iter(n):
-            if {u, v} == {a, b}:
-                colors.append(2)
-            elif {u, v} == {b, c}:
-                colors.append(3)
-            elif {u, v} == {a, c}:
-                colors.append(4)
-            else:
-                colors.append(1)
-        return EdgeColoring(n, 4, colors, exact_flag=len(set(colors)) == 4)
-    raise DescriptorError(f"unknown family {d.family!r}")
+    elif d.family in ("g2", "g3"):
+        names = "x, y" if d.family == "g2" else "a, b, c"
+        s, least, *_ = SPECIAL_SHAPES[d.family]
+        if d.special is None or len(d.special) != s:
+            raise DescriptorError(f"{d.family}: needs special vertices ({names})")
+        if len(set(d.special)) != s or not all(0 <= v < n for v in d.special):
+            raise DescriptorError(f"{d.family}: {names} must be distinct vertices")
+        if n < least:
+            raise DescriptorError(f"{d.family}: needs at least {least} vertices")
+        allowed_list = special_allowed(d.family, n, d.special)
+        k = 4
+    else:
+        raise DescriptorError(f"unknown family {d.family!r}")
+    choices = d.internal_choices or {}
+    colors = []
+    for e, allowed in zip(pair_iter(n), allowed_list):
+        c = allowed[0] if len(allowed) == 1 else choices.get(e)
+        if c is None:
+            raise DescriptorError(f"{d.family}: internal edge {e} has no color choice")
+        if c not in allowed:
+            raise DescriptorError(
+                f"{d.family}: internal edge {e} colored {c}, allowed {list(allowed)}"
+            )
+        colors.append(c)
+    return EdgeColoring(n, k, colors, exact_flag=len(set(colors)) == k)
 
 
 def _ranges(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -162,6 +172,11 @@ def _ranges(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
         parts.append(tuple(range(base, base + s)))
         base += s
     return tuple(parts)
+
+
+def _three_groups(n: int) -> list[int]:
+    """The three parts of witness_t_path and groups of witness_b3_kipas."""
+    return [n // 2] + [(n - 1) // 2] * 2
 
 
 def complete_parts(family: str, sizes) -> EdgeColoring:
@@ -232,13 +247,7 @@ def witness_t_path(n: int, verify: bool = False) -> EdgeColoring:
     """A t member with part i complete in color i and no monochromatic P_n."""
     if n < 3:
         raise DomainError("need n >= 3")
-    if n % 2 == 0:
-        if n < 4:
-            raise DomainError("need n >= 4 when n is even")
-        sizes = [n // 2, n // 2 - 1, n // 2 - 1]
-    else:
-        sizes = [(n - 1) // 2] * 3
-    coloring = complete_parts("t", sizes)
+    coloring = complete_parts("t", _three_groups(n))
     if verify:
         _assert_free(coloring, [(c, Path(n)) for c in (1, 2, 3)], f"t path witness ({n})")
     return coloring
@@ -252,11 +261,7 @@ def witness_b3_kipas(n: int, verify: bool = False) -> EdgeColoring:
     """
     if n < 5:
         raise DomainError("need n >= 5")
-    if n % 2 == 1:
-        b_sizes = [(n - 1) // 2] * 3
-    else:
-        b_sizes = [n // 2, n // 2 - 1, n // 2 - 1]
-    a_part, *groups = _ranges([n] + b_sizes)
+    a_part, *groups = _ranges([n] + _three_groups(n))
     b_part = sum(groups, ())
     group = {v: i for i, g in enumerate(groups) for v in g}
     # the bk parts are (B, A), so B's edges take 1 or 2 and A's 1 or 3

@@ -307,6 +307,11 @@ def _threshold_scan(
     def report(value: ValueOrInterval) -> SearchReport:
         return SearchReport(quantity, value, witness, budget.nodes, time.monotonic() - start)
 
+    def unsettled(caveat: str) -> SearchReport:
+        # every size past the last counterexample, or from the first size on
+        lo = witness.n_vertices + 1 if witness is not None else sizes.start
+        return report(interval(lo, UNBOUNDED, caveat=caveat))
+
     try:
         for n in sizes:
             cex = counterexample(n, budget)
@@ -314,10 +319,8 @@ def _threshold_scan(
                 return report(exact(n))
             witness = cex
     except CapabilityError as err:
-        lo = witness.n_vertices + 1 if witness is not None else sizes.start
-        value = interval(lo, UNBOUNDED, caveat=f"aborted on {_abort_cause(err)}")
-        raise type(err)(str(err), partial=report(value)) from None
-    return report(interval(sizes.stop, UNBOUNDED, caveat=beyond))
+        raise type(err)(str(err), partial=unsettled(f"aborted on {_abort_cause(err)}")) from None
+    return unsettled(beyond)
 
 
 def brute_force_ramsey(

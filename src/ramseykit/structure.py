@@ -2,17 +2,20 @@
 
 ``classify_structure`` recognizes, per rainbow context, the structural forms
 a coloring without that rainbow pattern must take: the dominant-color form
-(the supports of all non-dominant colors are pairwise disjoint), a handful
-of small exceptional shapes built around at most four special vertices, and
-the g1/g2/g3 families, each under any color names.
+(the supports of all non-dominant colors are pairwise disjoint), the
+clique-plus-vertex shape, the g1 family, and the five shapes of
+``constructions.SPECIAL_SHAPES`` (hub-triple, matched-quad, sporadic-5, g2
+and g3), each under any color names.
 
 ``CONTEXTS`` is the one place that knows a case list: for each rainbow
 context, its pattern, its least number of colors and its rows.  ``SHAPES``
 holds each row's allowed-colors builder, which the search engines scan, beside
-its matcher.  The builder is the only statement of a shape: a matcher reads
-candidate roles off the coloring, its special vertices in order and which
-color plays which part, and ``_fits`` confirms that the coloring so relabelled
-and renamed is allowed by the row's builder.
+its matcher.  The builder is the only statement of a shape; the five
+``SPECIAL_SHAPES`` rows share one, which reads that table with the special
+vertices at 0..s-1.  A matcher reads candidate roles off the coloring, its
+special vertices in order and which color plays which part, and ``_fits``
+confirms that the coloring so relabelled and renamed is allowed by the row's
+builder.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import combinations, permutations
 
 from .coloring import EdgeColoring, pair_iter
 from .constructions import (
-    FamilyDescriptor, _T_INTERNAL, _ranges, g2_coloring, g3_coloring, part_allowed,
+    SPECIAL_SHAPES, FamilyDescriptor, _T_INTERNAL, _ranges, part_allowed, special_allowed,
 )
 from .errors import DomainError
 from .patterns import P4_PLUS, Path, Star, _bits, _size_multisets
@@ -298,11 +301,11 @@ def is_member(coloring: EdgeColoring, family: str) -> FamilyDescriptor | None:
     if family == "g1":
         return three_part_descriptor(coloring, allow_empty=1)
     if family in (CASE_G2, CASE_G3):
-        match, build = (_match_g2, g2_coloring) if family == CASE_G2 else (_match_g3, g3_coloring)
-        got = match(coloring)
-        if got is None or coloring.colors != build(coloring.n_vertices, *got.special).colors:
+        got = (_match_g2 if family == CASE_G2 else _match_g3)(coloring)
+        if got is None:
             return None
-        return got
+        allowed = special_allowed(family, coloring.n_vertices, got.special)
+        return got if all(c in a for c, a in zip(coloring.colors, allowed)) else None
     raise DomainError(f"unknown family {family!r}")
 
 
@@ -332,52 +335,20 @@ def _t_allowed(n: int, k: int):
     yield from _parts_allowed(n, "t", 3, 1)
 
 
-def _color1_except(n: int, special: dict[tuple[int, int], tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """``special`` edges as given, every other edge fixed to color 1."""
-    return [special.get(e, (1,)) for e in pair_iter(n)]
-
-
 def _clique_plus_vertex_allowed(n: int, k: int):
     """All but the last vertex induce color 1; the last vertex's edges are free."""
     last = tuple(range(1, k + 1))
     yield [last if v == n - 1 else (1,) for _, v in pair_iter(n)]
 
 
-def _hub_triple_allowed(n: int, k: int):
-    """E2={ab}, E3={ac}, E4 = {bc} + a subset of a's other edges, on a,b,c = 0,1,2."""
-    if k != 4 or n < 4:
-        return
-    special = {(0, 1): (2,), (0, 2): (3,), (1, 2): (4,)}
-    special.update({(0, j): (1, 4) for j in range(3, n)})
-    yield _color1_except(n, special)
-
-
-def _matched_quad_allowed(n: int, k: int):
-    """Special vertices 0..3; the color-2 class is {01} or {01, 23}."""
-    if k != 4 or n < 4:
-        return
-    yield _color1_except(
-        n, {(0, 1): (2,), (2, 3): (1, 2), (0, 2): (3,), (1, 3): (3,), (0, 3): (4,), (1, 2): (4,)}
-    )
-
-
-def _sporadic_5_allowed(n: int, k: int):
-    if k != 4 or n != 5:
-        return
-    yield _color1_except(5, {
-        (0, 2): (2,), (1, 3): (2,), (1, 4): (2,),
-        (0, 1): (3,), (2, 3): (3,), (2, 4): (3,),
-        (3, 4): (4,),
-    })
-
-
-def _fixed_allowed(build):
-    """Builder for a shape with one member per size n >= 3 (k = 4 only); on
-    K_3 it has no color-1 edge, so it is never exact there."""
+def _special_row(label: str):
+    """Builder for a ``constructions.SPECIAL_SHAPES`` row: its special vertices
+    at 0..s-1, at k = 4 and the row's sizes only."""
+    s, least, most, _ = SPECIAL_SHAPES[label]
 
     def allowed(n: int, k: int):
-        if k == 4 and n >= 3:
-            yield [(c,) for c in build(n).colors]
+        if k == 4 and least <= n <= (most or n):
+            yield special_allowed(label, n, range(s))
 
     return allowed
 
@@ -387,11 +358,11 @@ SHAPES = {
     "bk": (_bk_allowed, dominant_descriptor),
     "t": (_t_allowed, _match_g1),
     CASE_CLIQUE_PLUS_VERTEX: (_clique_plus_vertex_allowed, _match_clique_plus_vertex),
-    CASE_HUB_TRIPLE: (_hub_triple_allowed, _match_hub_triple),
-    CASE_MATCHED_QUAD: (_matched_quad_allowed, _match_matched_quad),
-    CASE_SPORADIC_5: (_sporadic_5_allowed, _match_sporadic_5),
-    CASE_G2: (_fixed_allowed(g2_coloring), _match_g2),
-    CASE_G3: (_fixed_allowed(g3_coloring), _match_g3),
+    CASE_HUB_TRIPLE: (_special_row(CASE_HUB_TRIPLE), _match_hub_triple),
+    CASE_MATCHED_QUAD: (_special_row(CASE_MATCHED_QUAD), _match_matched_quad),
+    CASE_SPORADIC_5: (_special_row(CASE_SPORADIC_5), _match_sporadic_5),
+    CASE_G2: (_special_row(CASE_G2), _match_g2),
+    CASE_G3: (_special_row(CASE_G3), _match_g3),
 }
 
 # context -> (rainbow pattern, least k, its case list as SHAPES rows in scan order)

@@ -119,6 +119,13 @@ def test_compute_command(tmp_path, capsys):
     # not reached within max_n: interval result, exit 2
     code = main(["compute", "--quantity", "ramsey", "--red", "path:6", "--blue", "path:6", "--max-n", "6"])
     assert code == 2
+    capsys.readouterr()
+
+    # a max_n below the first size scanned (3 for t) leaves [3, unbounded)
+    code = main(["compute", "--quantity", "t", "--target", "path:5", "--max-n", "1", "--json"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lo"], payload["caveat"]) == (3, "not forced by size 1")
 
 
 def test_check_command(tmp_path, capsys):

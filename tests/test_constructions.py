@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -63,43 +64,79 @@ def test_build_g3_example():
     assert set(others) == {1}
 
 
+def _g2_by_readme(n, x, y):
+    """One edge xy of color 2, x's other edges 3, y's other edges 4, the rest 1."""
+    def color(u, v):
+        if {u, v} == {x, y}:
+            return 2
+        return 3 if x in (u, v) else 4 if y in (u, v) else 1
+
+    return [color(u, v) for u, v in pair_iter(n)]
+
+
+def _g3_by_readme(n, a, b, c):
+    """The triangle abc with ab 2, bc 3 and ca 4, every other edge 1."""
+    triangle = {frozenset((a, b)): 2, frozenset((b, c)): 3, frozenset((c, a)): 4}
+    return [triangle.get(frozenset((u, v)), 1) for u, v in pair_iter(n)]
+
+
+def test_g2_g3_on_every_special_tuple_follow_the_readme_rule():
+    for n in range(3, 8):
+        for family, size, rule in (("g2", 2, _g2_by_readme), ("g3", 3, _g3_by_readme)):
+            for special in itertools.permutations(range(n), size):
+                got = build_family(FamilyDescriptor(family, n, special=special))
+                want = rule(n, *special)
+                assert list(got.colors) == want, (family, n, special)
+                assert got.n_colors == 4 and got.exact_flag == (set(want) == {1, 2, 3, 4})
+    assert g2_coloring(5, 3, 1).colors == tuple(_g2_by_readme(5, 3, 1))
+    assert g3_coloring(6, 4, 0, 2).colors == tuple(_g3_by_readme(6, 4, 0, 2))
+
+
+# every malformed descriptor build_family refuses, with its whole message
+MALFORMED = [
+    (FamilyDescriptor("bk", 4), "bk: needs at least 2 parts (k >= 3)"),
+    (FamilyDescriptor("bk", 2, parts=((0, 1),)), "bk: needs at least 2 parts (k >= 3)"),
+    (FamilyDescriptor("t", 3), "t: partition required"),
+    (FamilyDescriptor("g1", 3, parts=((0,), (1, 2))), "g1: expected 3 parts, got 2"),
+    (FamilyDescriptor("bk", 3, parts=((0,), (1, 2))), "bk: part (0,) smaller than 2"),
+    (FamilyDescriptor("t", 3, parts=((0,), (1,), (3,))), "t: vertex 3 out of range"),
+    (FamilyDescriptor("bk", 4, parts=((0, 1), (1, 2, 3))), "bk: vertex 1 in two parts"),
+    (FamilyDescriptor("t", 2, parts=((0,), (1,), ())), "t: 1 empty parts, at most 0 allowed"),
+    (FamilyDescriptor("g1", 1, parts=((0,), (), ())), "g1: 2 empty parts, at most 1 allowed"),
+    (FamilyDescriptor("t", 4, parts=((0,), (1,), (2,))), "t: parts do not cover all vertices"),
+    (
+        FamilyDescriptor("bk", 4, parts=((0, 1), (2, 3)), internal_choices={(0, 1): 2}),
+        "bk: internal edge (2, 3) has no color choice",
+    ),
+    (
+        FamilyDescriptor("bk", 4, parts=((0, 1), (2, 3)), internal_choices={(0, 1): 4, (2, 3): 3}),
+        "bk: internal edge (0, 1) colored 4, allowed [1, 2]",
+    ),
+    (FamilyDescriptor("g2", 5), "g2: needs special vertices (x, y)"),
+    (FamilyDescriptor("g2", 5, special=(0, 1, 2)), "g2: needs special vertices (x, y)"),
+    (FamilyDescriptor("g2", 5, special=(1, 1)), "g2: x, y must be distinct vertices"),
+    (FamilyDescriptor("g2", 5, special=(0, 5)), "g2: x, y must be distinct vertices"),
+    (FamilyDescriptor("g2", 5, special=(-1, 0)), "g2: x, y must be distinct vertices"),
+    (FamilyDescriptor("g2", 2, special=(0, 1)), "g2: needs at least 3 vertices"),
+    (FamilyDescriptor("g3", 5), "g3: needs special vertices (a, b, c)"),
+    (FamilyDescriptor("g3", 5, special=(0, 1)), "g3: needs special vertices (a, b, c)"),
+    (FamilyDescriptor("g3", 5, special=(0, 1, 0)), "g3: a, b, c must be distinct vertices"),
+    (FamilyDescriptor("g3", 2, special=(0, 1, 2)), "g3: a, b, c must be distinct vertices"),
+    (FamilyDescriptor("zz", 4), "unknown family 'zz'"),
+    (FamilyDescriptor("hub-triple", 5, special=(0, 1, 2)), "unknown family 'hub-triple'"),
+]
+
+
 def test_descriptor_errors_name_the_clause():
-    with pytest.raises(DescriptorError, match="smaller than 2"):
-        build_family(FamilyDescriptor("bk", 3, parts=((0,), (1, 2)), internal_choices={(1, 2): 1}))
-    with pytest.raises(DescriptorError, match="two parts"):
-        build_family(
-            FamilyDescriptor(
-                "bk", 4, parts=((0, 1), (1, 2, 3)), internal_choices={}
-            )
-        )
-    with pytest.raises(DescriptorError, match="allowed"):
-        build_family(
-            FamilyDescriptor(
-                "bk",
-                4,
-                parts=((0, 1), (2, 3)),
-                internal_choices={(0, 1): 4, (2, 3): 3},
-            )
-        )
-    with pytest.raises(DescriptorError, match="no color choice"):
-        build_family(
-            FamilyDescriptor("bk", 4, parts=((0, 1), (2, 3)), internal_choices={(0, 1): 2})
-        )
-    with pytest.raises(DescriptorError, match="empty"):
-        build_family(
-            FamilyDescriptor("t", 2, parts=((0,), (1,), ()), internal_choices={})
-        )
+    for d, message in MALFORMED:
+        with pytest.raises(DescriptorError) as info:
+            build_family(d)
+        assert str(info.value) == message, d
     # g1 allows exactly one empty part
     ok = build_family(
         FamilyDescriptor("g1", 2, parts=((0,), (1,), ()), internal_choices={})
     )
     assert ok.color_of(0, 1) == 1
-    with pytest.raises(DescriptorError, match="cover"):
-        build_family(FamilyDescriptor("t", 4, parts=((0,), (1,), (2,)), internal_choices={}))
-    with pytest.raises(DescriptorError, match="distinct"):
-        build_family(FamilyDescriptor("g2", 5, special=(1, 1)))
-    with pytest.raises(DescriptorError, match="unknown family"):
-        build_family(FamilyDescriptor("zz", 4))
 
 
 def test_witness_bk_path_shapes():

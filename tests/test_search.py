@@ -76,6 +76,20 @@ def test_ramsey_not_reached_is_an_interval():
     assert rep.value.lo == 7 and rep.value.hi == UNBOUNDED
 
 
+def test_an_empty_size_range_leaves_every_size_from_the_first_open():
+    # compute_t scans from K_3 and compute_bk from K_{2(k-1)}: a max_n below
+    # that settles nothing, so the interval starts at the first size, as a
+    # budget abort before the first counterexample does
+    rep = compute_t(Path(5), 1)
+    assert (rep.value.lo, rep.value.hi) == (3, UNBOUNDED)
+    assert rep.value.caveat == "not forced by size 1"
+    assert rep.extremal_witness is None and rep.nodes_explored == 0
+    rep = compute_bk(4, Path(8), 4)
+    assert (rep.value.lo, rep.value.hi, rep.extremal_witness) == (6, UNBOUNDED, None)
+    # a size range that runs out past a counterexample starts just after it
+    assert compute_t(Path(5), 3).value.lo == 4
+
+
 def test_ramsey_domain_errors():
     with pytest.raises(DomainError):
         brute_force_ramsey(Path(3), Path(3), 10)

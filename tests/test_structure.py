@@ -6,11 +6,13 @@ import pytest
 
 from ramseykit.coloring import EdgeColoring, pair_iter
 from ramseykit.constructions import (
+    SPECIAL_SHAPES,
     FamilyDescriptor,
     _T_INTERNAL,
     build_family,
     g2_coloring,
     g3_coloring,
+    special_allowed,
     witness_bk_path,
     witness_small_kipas,
     witness_t_path,
@@ -308,6 +310,29 @@ def test_shape_table_round_trip():
                         assert got == label, (label, coloring.colors)
                     seen += 1
             assert seen, (context, label)
+
+
+def test_special_shapes_are_rows_scanned_at_k4_and_their_sizes_only():
+    # g2 and g3 from K_3, hub-triple and matched-quad from K_4, sporadic-5 on
+    # K_5 alone; never at another k
+    sizes = {
+        CASE_G2: range(3, 14), CASE_G3: range(3, 14), CASE_HUB_TRIPLE: range(4, 14),
+        CASE_MATCHED_QUAD: range(4, 14), CASE_SPORADIC_5: range(5, 6),
+    }
+    assert set(SPECIAL_SHAPES) == set(sizes) and set(SPECIAL_SHAPES) <= set(SHAPES)
+    for label, want in sizes.items():
+        for n in range(14):
+            for k in range(1, 7):
+                rows = list(SHAPES[label][0](n, k))
+                assert len(rows) == (k == 4 and n in want), (label, n, k)
+                if rows:
+                    special = range(SPECIAL_SHAPES[label][0])
+                    assert rows == [special_allowed(label, n, special)]
+                    assert len(rows[0]) == n * (n - 1) // 2
+    # the g2 and g3 rows fix every edge to the member build_family makes
+    for n in range(3, 9):
+        assert list(SHAPES[CASE_G2][0](n, 4)) == [[(c,) for c in g2_coloring(n).colors]]
+        assert list(SHAPES[CASE_G3][0](n, 4)) == [[(c,) for c in g3_coloring(n).colors]]
 
 
 def test_matched_quad_row_lists_its_k4_members():
