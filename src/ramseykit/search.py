@@ -16,11 +16,11 @@ row a builder of allowed-color lists; ``structure.CONTEXTS`` names the rows
 of each rainbow context's case list.
 
 A color-symmetric scan (every free edge allows one shared tuple, and its
-colors that no fixed edge uses track the same mono patterns) searches only
-the first of those colors at its first free edge and counts the refuted
-subtree once more for each later one, its mirror image.  Reported node
-counts (``nodes_explored``) are therefore always the size of the plain
-rank-order tree, counted or searched.
+colors that no fixed edge uses track the same mono patterns) searches, at
+every node, only the first of those colors that no decided edge uses yet,
+and counts its refuted subtree once more for each later one, its mirror
+image.  Reported node counts (``nodes_explored``) are therefore always the
+size of the plain rank-order tree, counted or searched.
 
 Node budgets abort with a partial result attached to a
 :class:`CapabilityError` rather than running unbounded.
@@ -58,8 +58,8 @@ RAINBOW = 0
 
 DEFAULT_NODE_BUDGET = 20_000_000
 
-# _scan counts the first free edge's mirror images instead of searching them;
-# False keeps the plain scan, the oracle for the mirrored one
+# _scan counts the mirror images of unused twin colors at every node instead of
+# searching them; False keeps the plain scan, the oracle for the mirrored one
 _MIRROR = True
 
 
@@ -139,14 +139,14 @@ def _scan(
     without a call, calls its color's bound mono tests in line, and runs
     the rainbow tests only when a rainbow pattern is tracked.
 
-    The first free edge mirrors.  Call the colors of its tuple that no
-    fixed edge uses twins when every free edge allows that same tuple and
-    each twin tracks the same mono pattern list.  Swapping two twins then
-    fixes every fixed edge, every allowed tuple and every prune (rainbow
-    tests see only which colors differ), so the subtree of a later twin is
-    the first twin's mirror image.  The first twin is searched; if it finds
-    nothing, each later twin adds its node count (its own node included)
-    to the budget and ``budget.mirrored`` instead of being searched, and a
+    Unused twins mirror.  Twins are the colors of the first free edge's
+    tuple that no fixed edge uses, when every free edge allows that tuple
+    and each twin tracks the same mono patterns; a twin is fresh at a node
+    when no decided edge has its color.  Swapping two fresh twins fixes
+    every decided edge, allowed tuple and prune (rainbow tests see only
+    which colors differ), so a later fresh twin's subtree mirrors the
+    first one's.  If the first finds nothing, each later one adds that
+    node count to the budget and ``budget.mirrored`` unsearched, and a
     total past the limit aborts at ``limit + 1`` as the plain scan would.
     Values, witnesses and node counts are those of the plain scan, which
     ``_MIRROR = False`` keeps as the oracle.
@@ -214,6 +214,15 @@ def _scan(
     if any(min_edges == 0 for specs in mono for min_edges, _ in specs):
         return None
 
+    # the twin colors, whose mirror images dfs counts (see the docstring)
+    first = allowed[free[0]] if free else ()
+    twins = [c for c in first if c not in fixed]
+    symmetric = _MIRROR and len(twins) > 1 and all(allowed[i] == first for i in free) and all(
+        [p for key, p in tracked if key == c] == [p for key, p in tracked if key == twins[0]]
+        for c in twins[1:]
+    )
+    twin = [symmetric and c in twins for c in range(k + 1)]
+
     def dfs(j: int) -> EdgeColoring | None:
         if j == len(free):
             exact = 0 not in class_edges[1:]
@@ -223,7 +232,16 @@ def _scan(
         i = free[j]
         u, v = edges[i]
         bu, bv = 1 << u, 1 << v
+        refuted = -1  # node count of the first fresh twin's subtree, once searched
         for c in allowed[i]:
+            fresh = twin[c] and not class_edges[c]
+            if fresh:
+                if refuted >= 0:
+                    budget.mirrored += refuted
+                    budget.nodes = min(budget.nodes + refuted, budget.limit + 1)
+                    budget.spend(0)  # past the limit, aborts where the plain scan would
+                    continue
+                start = budget.nodes
             budget.nodes += 1
             if budget.nodes > budget.limit:
                 budget.spend(0)  # raises BudgetExceeded
@@ -245,31 +263,11 @@ def _scan(
             row[u] &= ~bv
             row[v] &= ~bu
             class_edges[c] -= 1
+            if fresh:
+                refuted = budget.nodes - start
         return None
 
-    # the first free edge's mirror images (see the docstring)
-    first = allowed[free[0]] if free and _MIRROR else ()
-    twins = [c for c in first if c not in fixed]
-    if len(twins) < 2 or any(allowed[i] != first for i in free) or any(
-        [p for key, p in tracked if key == c] != [p for key, p in tracked if key == twins[0]]
-        for c in twins[1:]
-    ):
-        return dfs(0)
-    allowed = list(allowed)  # dfs reads each first-edge color alone from here
-    for c in first:
-        if c in twins[1:]:
-            budget.mirrored += refuted
-            budget.nodes = min(budget.nodes + refuted, budget.limit + 1)
-            budget.spend(0)  # past the limit, aborts where the plain scan would
-            continue
-        start = budget.nodes
-        allowed[free[0]] = (c,)
-        got = dfs(0)
-        if got is not None:
-            return got
-        if c == twins[0]:
-            refuted = budget.nodes - start
-    return None
+    return dfs(0)
 
 
 def _rows_counterexample(

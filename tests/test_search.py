@@ -394,7 +394,7 @@ def test_capability_abort_is_labelled_apart_from_budget(monkeypatch):
     assert exc.value.partial.notes == ("aborted on a capability limit; no conclusion",)
 
 
-# --- the first free edge's mirror images -----------------------------------------
+# --- the mirror images of unused twin colors --------------------------------------
 
 
 def _outcome(run):
@@ -427,6 +427,14 @@ def _mirror_and_plain(monkeypatch, run):
     return mirrored, plain
 
 
+def _scan_outcome(n, k, allowed, tracked, surjective=False):
+    from ramseykit.search import _Budget, _scan
+
+    budget = _Budget(10**6)
+    got = _scan(n, k, allowed, tracked, surjective, budget)
+    return budget.mirrored, budget.nodes, got and got.colors
+
+
 def _mirror_grid():
     from ramseykit.structure import CONTEXTS
 
@@ -454,7 +462,7 @@ def _mirror_grid():
     yield lambda: compute_t(Kipas(4), 9)
 
 
-def test_first_edge_mirror_matches_the_plain_scan(monkeypatch):
+def test_mirror_matches_the_plain_scan(monkeypatch):
     # values, witnesses, verdicts, notes, errors and node counts are those
     # of the plain rank-order scan
     for run in _mirror_grid():
@@ -462,12 +470,16 @@ def test_first_edge_mirror_matches_the_plain_scan(monkeypatch):
         assert mirrored == plain
 
 
-def test_first_edge_mirror_aborts_where_the_plain_scan_does(monkeypatch):
+def test_mirror_aborts_where_the_plain_scan_does(monkeypatch):
     # gr_4(K13:P4) on K_5 mirrors its first subtree of 1,205 nodes three
-    # times, so most of these budgets run out inside a mirror image
+    # times, so most of these budgets run out inside a mirror image; the
+    # first edge's color-1 subtree of gr_3(P5:P4) on K_6 spends 6,724 nodes,
+    # and budgets spread over it run out inside mirror images of the second
+    # to the sixth edge
     runs = [
         (4_821, 37, lambda b: gr_desk_verify(4, Star(3), Path(4), 5, "full", node_budget=b)),
         (1_088, 3, lambda b: brute_force_ramsey(Path(5), Path(5), 7, node_budget=b)),
+        (6_725, 151, lambda b: gr_desk_verify(3, Path(5), Path(4), 6, "full", node_budget=b)),
     ]
     for top, step, run in runs:
         for budget in [*range(0, top, step), top - 2, top - 1, top]:
@@ -491,8 +503,7 @@ def budgets(monkeypatch):
     return made
 
 
-def test_first_edge_mirror_runs_only_on_color_symmetric_scans(budgets):
-    from ramseykit.search import _Budget, _scan
+def test_mirror_runs_only_on_color_symmetric_scans(budgets):
     from ramseykit.structure import CASE_CLIQUE_PLUS_VERTEX, CASE_HUB_TRIPLE, SHAPES
 
     def mirrored(run):
@@ -501,8 +512,8 @@ def test_first_edge_mirror_runs_only_on_color_symmetric_scans(budgets):
         return budgets[0].mirrored, rep.nodes_explored
 
     # every edge allows all colors and every color tracks the same target
-    assert mirrored(lambda: gr_desk_verify(3, Path(5), Path(4), 6, "full")) == (13_448, 20_172)
-    assert mirrored(lambda: gr_desk_verify(4, Star(3), Path(4), 5, "full")) == (3_615, 4_820)
+    assert mirrored(lambda: gr_desk_verify(3, Path(5), Path(4), 6, "full")) == (16_807, 20_172)
+    assert mirrored(lambda: gr_desk_verify(4, Star(3), Path(4), 5, "full")) == (4_590, 4_820)
     assert mirrored(lambda: brute_force_ramsey(Path(6), Path(6), 8)) == (32_021, 64_114)
     # different patterns per color
     assert mirrored(lambda: brute_force_ramsey(CompleteGraph(3), Path(5), 9)) == (0, 28_748)
@@ -510,28 +521,49 @@ def test_first_edge_mirror_runs_only_on_color_symmetric_scans(budgets):
     # free edges with different tuples
     assert mirrored(lambda: compute_bk(3, Path(4), 9))[0] == 0
 
-    def scan(n, k, allowed, tracked, surjective=False):
-        budget = _Budget(10**6)
-        got = _scan(n, k, allowed, tracked, surjective, budget)
-        return budget.mirrored, budget.nodes, got and got.colors
-
     def row(label, n, target):
         (allowed,) = SHAPES[label][0](n, 4)
-        return scan(n, 4, allowed, [(c, target) for c in range(1, 5)], True)
+        return _scan_outcome(n, 4, allowed, [(c, target) for c in range(1, 5)], True)
 
-    # the fixed edge is color 1, so only the colors 2..4 mirror each other;
+    # the fixed edge is color 1, so only the colors 2..4 mirror each other,
+    # and below the first free edge the two that it left unused;
     # no 4-coloring of K_3 is exact
-    assert row(CASE_CLIQUE_PLUS_VERTEX, 3, Path(4)) == (10, 21, None)
+    assert row(CASE_CLIQUE_PLUS_VERTEX, 3, Path(4)) == (13, 21, None)
     # the free edges allow colors 1 and 4, which fixed edges use as well:
     # color 1 fails at the first free edge where color 4 succeeds
     assert row(CASE_HUB_TRIPLE, 5, Path(5)) == (0, 8, (2, 3, 4, 4, 4, 1, 1, 1, 1, 1))
 
     paths = [(c, Path(3)) for c in (1, 2, 3)]
     # one shared color besides a fixed one: nothing to mirror
-    assert scan(4, 2, [(1,)] + [(1, 2)] * 5, paths[:2]) == (0, 5, None)
+    assert _scan_outcome(4, 2, [(1,)] + [(1, 2)] * 5, paths[:2]) == (0, 5, None)
     # colors 1 and 2 at the first free edge, but the later edges allow 1 and 3
-    assert scan(3, 3, [(1, 2), (1, 3), (1, 3)], paths) == (0, 9, (2, 1, 3))
+    assert _scan_outcome(3, 3, [(1, 2), (1, 3), (1, 3)], paths) == (0, 9, (2, 1, 3))
     # colors 1 and 3 mirror each other around color 2, which a fixed edge
     # uses and which cannot go on the first edge: 1 + 7 + 1 + 7 nodes
     lfx = [(2, LinearForestExact((2, 2)))]
-    assert scan(4, 3, [(1, 2, 3)] * 5 + [(2,)], paths + lfx) == (7, 16, None)
+    assert _scan_outcome(4, 3, [(1, 2, 3)] * 5 + [(2,)], paths + lfx) == (7, 16, None)
+
+
+def test_mirror_counts_unused_twins_at_every_node(monkeypatch):
+    from ramseykit import search
+
+    # no exact 3-coloring of K_5 has a matching in every color class; 39
+    # of the 48 nodes are mirror images, 32 of the first edge's color 1
+    # and 7 counted at deeper nodes
+    paths = [(c, Path(3)) for c in (1, 2, 3)]
+    assert _scan_outcome(5, 3, [(1, 2, 3)] * 10, paths, True) == (39, 48, None)
+    monkeypatch.setattr(search, "_MIRROR", False)
+    assert _scan_outcome(5, 3, [(1, 2, 3)] * 10, paths, True) == (0, 48, None)
+
+
+def test_mirror_skips_twins_that_an_earlier_free_edge_uses():
+    # color 1 on edge 01 leaves only colors 2 and 3 unused at edge 02;
+    # color 1 fails there, and must not stand for colors 2 and 3
+    paths = [(c, Path(3)) for c in (1, 2, 3)]
+    assert _scan_outcome(4, 3, [(1, 2, 3)] * 6, paths) == (0, 12, (1, 2, 3, 3, 2, 1))
+    # the fixed edge 23 takes color 3, so only 1 and 2 are twins: color 2
+    # mirrors color 1's 7 refuted nodes at edge 01, then edge 03 must
+    # search color 2, as color 1 is on edge 02
+    assert _scan_outcome(4, 3, [(1, 2, 3)] * 5 + [(3,)], paths) == (
+        7, 22, (3, 1, 2, 2, 1, 3)
+    )

@@ -15,8 +15,11 @@ checkout.
 
 The output holds every run and, per workload and end-to-end metric, the
 parent's and the change's quartiles, how many pairs the change won (by the
-direction ``BENCHMARK.json`` gives the metric) and whether the median gap
-exceeds the parent's interquartile range.
+direction ``BENCHMARK.json`` gives the metric), whether the median gap
+exceeds the parent's interquartile range, and the change's median relative
+to the parent's next to the metric's ``bound`` from ``BENCHMARK.json``,
+flagged when it is worse by more than the bound; that last comparison is
+also printed at the end.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: quartiles of each side and the change's wins."""
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and metric: quartiles of each side, the change's wins and
+    its relative median change against the metric's bound."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -70,19 +74,25 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             if r["workload"] == workload:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r
         out[workload] = {}
-        for metric, direction in better.items():
+        for spec in end_to_end:
+            metric = spec["name"]
             both = [(p["parent"]["metrics"][metric], p["change"]["metrics"][metric])
                     for p in pairs.values()]
-            sign = 1 if direction == "lower" else -1
+            sign = 1 if spec["better"] == "lower" else -1
             parent = quartiles([a for a, _ in both])
             change = quartiles([b for _, b in both])
             gap = sign * (parent["median"] - change["median"])
+            relative = ((change["median"] - parent["median"]) / parent["median"]
+                        if parent["median"] else 0.0)
             out[workload][metric] = {
                 "pairs": len(both),
                 "change_wins": sum(sign * (a - b) > 0 for a, b in both),
                 "parent": parent,
                 "change": change,
                 "median_gap_exceeds_parent_iqr": gap > parent["q3"] - parent["q1"],
+                "median_change": relative,
+                "bound": spec["bound"],
+                "worse_than_bound": sign * relative > spec["bound"],
             }
         failed = [r["failed"] for r in runs if r["workload"] == workload]
         out[workload]["failed_operations"] = sum(failed)
@@ -100,8 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     runs = []
     seed = args.seed
@@ -121,12 +130,19 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} seed {seed} {side}: "
                       + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
             seed += 1
+    summary = summarize(runs, end_to_end)
+    for workload, metrics in summary.items():
+        for metric, entry in metrics.items():
+            if isinstance(entry, dict):
+                print(f"{workload} {metric}: median {entry['median_change']:+.1%}"
+                      f" (bound {entry['bound']:g})"
+                      + (", WORSE THAN BOUND" if entry["worse_than_bound"] else ""))
     report = {
         "what": args.what,
         "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, fresh copies of "
                    "src and perfbench, PYTHONDONTWRITEBYTECODE=1, sides alternating first",
         "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
-        "summary": summarize(runs, better),
+        "summary": summary,
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
