@@ -1,6 +1,6 @@
 """Target patterns and their detection in edge colorings.
 
-Every fixed-shape pattern is found by running a placement plan: its
+Every fixed-shape pattern can be found by running a placement plan: its
 vertices in order, each with its placed pattern neighbors.  A whole-graph
 plan places vertices 0..order-1 with symmetry bounds, so the first map
 found is the lexicographically smallest copy; anchored plans start from a
@@ -17,9 +17,11 @@ use one exact forest per component-order partition.
 
 The search binds one anchored test per tracked pattern and scan, built by
 :func:`mono_test` or :func:`rainbow_test`, which settle the pattern kind,
-its fit in K_n and its anchored plans once.  Paths, stars, cliques and
-kipas have fast paths (a path or kipas rim fits its last two vertices in
-closed form, a triangle is one AND).
+its fit in K_n and its anchored plans once.  In a color class, paths,
+stars, cliques, kipas and exact linear forests have fast paths (a path or
+kipas rim fits its last two vertices in closed form, a triangle is one
+AND, a forest tries each path through uv against the rest); the
+whole-graph finders keep the placer, which gives the least map.
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -551,9 +553,11 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
     and looks only for copies through uv, so under that assumption it gives
     the whole-graph answer.  Search engines add one edge at a time and stop
     at the first copy, so the assumption holds after every edge they add.
-    A ``LinearForestMin`` test runs the greedy bound on the whole class,
-    then each of :func:`_min_forests` anchored on uv: the class without uv
-    held none of them, so every one it now holds uses uv.
+    Exact linear forests go through :func:`_forest_through`, and only
+    explicit patterns through the anchored plans.  A ``LinearForestMin``
+    test runs the greedy bound on the whole class, then each of
+    :func:`_min_forests` anchored on uv: the class without uv held none of
+    them, so every one it now holds uses uv.
     """
     if isinstance(p, LinearForestMin):
         forests = _min_forests(p.min_edges, p.min_order)
@@ -573,6 +577,9 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
         return None
     if isinstance(p, Path):
         return partial(_grow, (1 << n) - 1, order - 2)
+    if isinstance(p, LinearForestExact):  # each distinct order of uv's path, and the others
+        splits = {o: p.orders[:i] + p.orders[i + 1:] for i, o in enumerate(p.orders)}
+        return partial(_forest_through, (1 << n) - 1, tuple(splits.items()))
     if isinstance(p, Kipas):
         return partial(_kipas_through, p.order)
     if isinstance(p, Star):
@@ -676,6 +683,68 @@ def _kipas_through(order: int, adj: Sequence[int], u: int, v: int) -> bool:
         if nb.bit_count() >= order and _grow(nb, order - 2, adj, u, v):
             return True
     return False
+
+
+def _forest_through(allowed: int, splits: tuple, adj: Sequence[int], u: int, v: int) -> bool:
+    """A linear forest using uv: for some (o, others) in ``splits``, uv lies
+    on a path of order o, grown from both ends, and the rest of ``allowed``
+    holds paths of the other orders."""
+    for o, others in splits:
+        left: set[int] = set()
+        _path_leftovers(adj, allowed & ~(1 << u | 1 << v), o - 2, u, v, True, left)
+        for rest in left:
+            if _holds_forest(adj, rest, others):
+                return True
+    return False
+
+
+def _holds_forest(adj: Sequence[int], allowed: int, orders: tuple[int, ...]) -> bool:
+    """Does ``allowed`` hold disjoint paths of these orders (descending)?
+    Each path of the first order is taken out in turn, and the last order
+    left is grown from each edge by :func:`_grow`."""
+    if not orders:
+        return True
+    if allowed.bit_count() < sum(orders):
+        return False
+    o, others = orders[0], orders[1:]
+    left: set[int] = set()
+    todo = allowed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        w = low.bit_length() - 1
+        ext = adj[w] & todo  # each edge once, from its lower end
+        while ext:
+            b = ext & -ext
+            ext ^= b
+            if not others:
+                if _grow(allowed, o - 2, adj, w, b.bit_length() - 1):
+                    return True
+            else:
+                _path_leftovers(adj, allowed ^ low ^ b, o - 2, w, b.bit_length() - 1, True, left)
+    for rest in left:
+        if _holds_forest(adj, rest, others):
+            return True
+    return False
+
+
+def _path_leftovers(
+    adj: Sequence[int], free: int, need: int, x: int, y: int, turn: bool, left: set[int]
+) -> None:
+    """Add to ``left`` what is left of ``free`` after each way to grow the
+    path with ends x and y by ``need`` vertices of ``free``: the x end
+    grows first, then, while ``turn``, the y end, so each path is reached
+    once."""
+    if not need:
+        left.add(free)
+        return
+    ext = adj[x] & free
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        _path_leftovers(adj, free ^ low, need - 1, low.bit_length() - 1, y, turn, left)
+    if turn:
+        _path_leftovers(adj, free, need, y, x, False, left)
 
 
 # --- placement plans -------------------------------------------------------------

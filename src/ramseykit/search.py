@@ -222,18 +222,19 @@ def _scan(
         for c in twins[1:]
     )
     twin = [symmetric and c in twins for c in range(k + 1)]
+    # per depth: the edge's rank, its ends, their bits and its allowed colors
+    steps = [(i, *edges[i], 1 << edges[i][0], 1 << edges[i][1], allowed[i]) for i in free]
+    limit = budget.limit
 
     def dfs(j: int) -> EdgeColoring | None:
-        if j == len(free):
+        if j == len(steps):
             exact = 0 not in class_edges[1:]
             if surjective and not exact:
                 return None
             return EdgeColoring(n, k, ecolor, exact_flag=exact)
-        i = free[j]
-        u, v = edges[i]
-        bu, bv = 1 << u, 1 << v
+        i, u, v, bu, bv, choices = steps[j]
         refuted = -1  # node count of the first fresh twin's subtree, once searched
-        for c in allowed[i]:
+        for c in choices:
             fresh = twin[c] and not class_edges[c]
             if fresh:
                 if refuted >= 0:
@@ -242,8 +243,9 @@ def _scan(
                     budget.spend(0)  # past the limit, aborts where the plain scan would
                     continue
                 start = budget.nodes
-            budget.nodes += 1
-            if budget.nodes > budget.limit:
+            nodes = budget.nodes + 1
+            budget.nodes = nodes
+            if nodes > limit:
                 budget.spend(0)  # raises BudgetExceeded
             ecolor[i] = c
             row = adj[c]
@@ -260,8 +262,8 @@ def _scan(
                     if got is not None:
                         return got
             ecolor[i] = 0
-            row[u] &= ~bv
-            row[v] &= ~bu
+            row[u] ^= bv  # the bits were clear: no edge is colored twice
+            row[v] ^= bu
             class_edges[c] -= 1
             if fresh:
                 refuted = budget.nodes - start

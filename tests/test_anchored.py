@@ -41,8 +41,13 @@ MONO_PATTERNS = [
     CompleteGraph(2), CompleteGraph(3), CompleteGraph(4),
     LinearForestExact((2, 2)), LinearForestExact((3, 3)), LinearForestExact((2, 4)),
     LinearForestExact((2, 2, 2)), LinearForestExact((3, 2, 2)),
+    # two or more components left after the anchored one, equal orders,
+    # and a path of order >= 4 left last
+    LinearForestExact((4, 4)), LinearForestExact((5, 2)), LinearForestExact((3, 3, 2)),
+    LinearForestExact((4, 3, 2)), LinearForestExact((2, 2, 2, 2)),
     P4_PLUS, Explicit(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
     LinearForestMin(2, 2), LinearForestMin(3, 3), LinearForestMin(4, 3),
+    LinearForestMin(5, 3), LinearForestMin(6, 3),
 ]
 
 RAINBOW_PATTERNS = [
@@ -78,10 +83,12 @@ def _naive_rainbow(n, colors, p):
 def test_anchored_mono_matches_whole_graph_and_naive():
     rng = random.Random(11)
     cases = hits = 0
-    for trial in range(280):
+    for trial in range(408):  # 12 graphs per pattern
         p = MONO_PATTERNS[trial % len(MONO_PATTERNS)]
-        # paths and kipas up to the sizes the benchmark searches
-        n = rng.randint(2, 12 if isinstance(p, (Path, Kipas)) else 8)
+        # paths and kipas up to the sizes the benchmark searches, forests
+        # up to K_10, which leaves room around a 9-vertex (4, 3, 2)
+        forest = isinstance(p, (LinearForestExact, LinearForestMin))
+        n = rng.randint(2, 12 if isinstance(p, (Path, Kipas)) else 10 if forest else 8)
         test = mono_test(n, p)
         pairs = list(combinations(range(n), 2))
         rng.shuffle(pairs)

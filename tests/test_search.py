@@ -357,6 +357,39 @@ def test_node_counts_and_witnesses_are_pinned():
     )
 
 
+def test_forest_checks_keep_their_counterexamples_and_node_counts():
+    # universal checks that need a linear forest, pinned while the anchored
+    # forest test still ran the placer: the verdict, the node count and the
+    # least counterexample stay, and the naive oracle confirms that each
+    # counterexample avoids every tracked pattern
+    from ramseykit.naive import naive_has_mono
+
+    F, star = LinearForestExact, (2, Star(3))
+    cases = [
+        (6, [(1, Kipas(4))], [(2, F((3, 3))), star], 192, "111121221221111"),
+        (6, [(1, Kipas(5))], [(2, LinearForestMin(2, 3))], 96, "111121121211111"),
+        (7, [(1, Kipas(3))], [(2, F((3, 3)))], 386, "111112222212221221211"),
+        (7, [(1, Kipas(4))], [(2, F((4, 4))), star], 512, "111122111222211211111"),
+        (7, [(1, Kipas(4))], [(2, F((5, 2))), star], 504, "111122111222211211111"),
+        (7, [(1, Kipas(4))], [(2, F((3, 3, 2))), star], 512, "111122111222211211111"),
+        (7, [(1, Kipas(4))], [(2, F((4, 3, 2))), star], 512, "111122111222211211111"),
+        (7, [(1, Kipas(4))], [(2, F((2, 2, 2, 2))), star], 512, "111122111222211211111"),
+        (8, [(1, Kipas(3))], [(2, F((5, 2)))], 1_540, "1111222222111221112111111222"),
+        (8, [(1, CompleteGraph(3))], [(2, F((5, 2)))], 218, "1111222222111221112111111222"),
+        (7, [(1, Kipas(5))], [(2, F((2, 2)))], 2_202, None),
+        (7, [], [(1, F((3, 3))), (2, F((3, 3)))], 3_982, None),
+        (7, [(1, Path(5))], [(2, F((2, 2, 2)))], 6_234, None),
+        (7, [(1, CompleteGraph(3))], [(2, F((4, 2)))], 15_474, None),
+    ]
+    for n, forbidden, required, nodes, colors in cases:
+        rep = universal_check(n, forbidden, required)
+        got = None if rep.counterexample is None else "".join(map(str, rep.counterexample.colors))
+        assert (rep.holds, rep.nodes_explored, got) == (colors is None, nodes, colors), required
+        if got is not None:
+            for c, p in forbidden + required:
+                assert not naive_has_mono(rep.counterexample, c, p), (required, c, p)
+
+
 def test_degenerate_branches_of_the_scan_are_pinned():
     # a tracked pattern with no edges holds in the empty graph: the scan
     # returns before its first free edge, so r(P_1, P_3) is 1 in no nodes

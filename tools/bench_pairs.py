@@ -19,7 +19,11 @@ direction ``BENCHMARK.json`` gives the metric), whether the median gap
 exceeds the parent's interquartile range, and the change's median relative
 to the parent's next to the metric's ``bound`` from ``BENCHMARK.json``,
 flagged when it is worse by more than the bound; that last comparison is
-also printed at the end.
+also printed at the end.  A metric is flagged unresolved, and printed
+UNRESOLVED, when it rests on fewer than ``MIN_PAIRS`` pairs, or when the
+parent's interquartile range, relative to its median, exceeds the bound and
+not every change run beats every parent run: then the runs spread too
+widely to tell a move within the bound from none.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 6
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,8 +70,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and metric: quartiles of each side, the change's wins and
-    its relative median change against the metric's bound."""
+    """Per workload and metric: quartiles of each side, the change's wins,
+    its relative median change against the metric's bound, and whether the
+    runs can resolve that bound."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -84,6 +90,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             gap = sign * (parent["median"] - change["median"])
             relative = ((change["median"] - parent["median"]) / parent["median"]
                         if parent["median"] else 0.0)
+            spread = ((parent["q3"] - parent["q1"]) / parent["median"]
+                      if parent["median"] else 0.0)
+            every_run_better = (min(sign * a for a, _ in both)
+                                > max(sign * b for _, b in both))
             out[workload][metric] = {
                 "pairs": len(both),
                 "change_wins": sum(sign * (a - b) > 0 for a, b in both),
@@ -93,6 +103,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "median_change": relative,
                 "bound": spec["bound"],
                 "worse_than_bound": sign * relative > spec["bound"],
+                "unresolved": len(both) < MIN_PAIRS
+                or (spread > spec["bound"] and not every_run_better),
             }
         failed = [r["failed"] for r in runs if r["workload"] == workload]
         out[workload]["failed_operations"] = sum(failed)
@@ -136,7 +148,8 @@ def main(argv=None) -> int:
             if isinstance(entry, dict):
                 print(f"{workload} {metric}: median {entry['median_change']:+.1%}"
                       f" (bound {entry['bound']:g})"
-                      + (", WORSE THAN BOUND" if entry["worse_than_bound"] else ""))
+                      + (", WORSE THAN BOUND" if entry["worse_than_bound"] else "")
+                      + (", UNRESOLVED" if entry["unresolved"] else ""))
     report = {
         "what": args.what,
         "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, fresh copies of "
