@@ -1,27 +1,27 @@
 """Target patterns and their detection in edge colorings.
 
-Every fixed-shape pattern can be found by running a placement plan: its
-vertices in order, each with its placed pattern neighbors.  A whole-graph
-plan places vertices 0..order-1 with symmetry bounds, so the first map
-found is the lexicographically smallest copy; anchored plans start from a
-pattern edge laid on the host edge the search just decided.  One placer
-runs plans in a color class (per-color adjacency bitmasks), one runs them
-for rainbow copies (a flat color array, 0 = undecided).  The rainbow
-placer reads the pair (u, v), u < v, as ``colors[base[u] + v]`` from a
-per-n table of row offsets (``base[u] + v == pair_rank(u, v, n)``), and a
-rainbow copy needs one distinct decided color per edge, so the
-whole-graph rainbow tests answer "absent" at once when fewer colors are in
-use than the pattern has edges.  The longest path order comes from the
-classic DP over (vertex subset, endpoint) states, and minimum-edge forests
-use one exact forest per component-order partition.
+Every fixed-shape pattern can be found by running its placement plan:
+vertices 0..order-1 in order, each with its placed pattern neighbors and
+a symmetry bound, so the first map found is the lexicographically
+smallest copy.  One placer runs the plan in a color class (per-color
+adjacency bitmasks), one for rainbow copies (a flat color array, 0 =
+undecided).  The rainbow placer reads the pair (u, v), u < v, as
+``colors[base[u] + v]`` from a per-n table of row offsets
+(``base[u] + v == pair_rank(u, v, n)``), and a rainbow copy needs one
+distinct decided color per edge, so the rainbow finder answers "absent"
+at once when fewer colors are in use than the pattern has edges.  The
+longest path order comes from the classic DP over (vertex subset,
+endpoint) states, and minimum-edge forests use one exact forest per
+component-order partition.
 
 The search binds one anchored test per tracked pattern and scan, built by
-:func:`mono_test` or :func:`rainbow_test`, which settle the pattern kind,
-its fit in K_n and its anchored plans once.  In a color class, paths,
-stars, cliques, kipas and exact linear forests have fast paths (a path or
-kipas rim fits its last two vertices in closed form, a triangle is one
-AND, a forest tries each path through uv against the rest); the
-whole-graph finders keep the placer, which gives the least map.
+:func:`mono_test` or :func:`rainbow_test`, which settle the pattern kind
+and its fit in K_n once.  In a color class, paths, stars, cliques, kipas
+and exact linear forests have fast paths through the decided edge (a path
+or kipas rim fits its last two vertices in closed form, a triangle is one
+AND, a forest tries each path through uv against the rest); explicit
+patterns, rainbow patterns other than stars and the witness finders run
+the placers, which give the least map.
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -537,24 +537,21 @@ def _edges_to_components(edge_list: Sequence[tuple[int, int]]) -> tuple[tuple[in
 # --- anchored detection ---------------------------------------------------------
 #
 # The builders of the anchored tests, and the fast paths behind them.  Each
-# test looks only for copies that use the edge uv.
-
-
-def _present(*_args) -> bool:
-    """The test of a pattern with no edges: present whenever it fits."""
-    return True
+# test is called with the edge uv just decided, on a graph that held no copy
+# without it, so every copy it can find uses uv.
 
 
 def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], bool] | None:
     """The anchored test of p in a color class of K_n, a function of
     (adj, u, v), or None when p does not fit in K_n.
 
-    The test assumes that the class without its edge uv holds no copy of p
-    and looks only for copies through uv, so under that assumption it gives
-    the whole-graph answer.  Search engines add one edge at a time and stop
-    at the first copy, so the assumption holds after every edge they add.
-    Exact linear forests go through :func:`_forest_through`, and only
-    explicit patterns through the anchored plans.  A ``LinearForestMin``
+    The test assumes that the class without its edge uv holds no copy of p,
+    so every copy it holds uses uv, and gives the whole-graph answer under
+    that assumption.  Search engines add one edge at a time and stop at the
+    first copy, so the assumption holds after every edge they add.  Paths,
+    stars, cliques and kipas are looked for only through uv, exact linear
+    forests through :func:`_forest_through`, and an explicit pattern by the
+    whole-graph :func:`_mono_copy`.  A ``LinearForestMin``
     test runs the greedy bound on the whole class, then each of
     :func:`_min_forests` anchored on uv: the class without uv held none of
     them, so every one it now holds uses uv.
@@ -590,14 +587,7 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
         if rest == 1:
             return lambda adj, u, v: adj[u] & adj[v] != 0
         return lambda adj, u, v: _has_clique(adj, adj[u] & adj[v], rest)
-    plans = _anchor_plans(p)
-    if not plans:
-        return _present
-
-    def placed(adj: Sequence[int], u: int, v: int) -> bool:
-        return _place_mono(n, adj, plans, [u, v] + [-1] * (order - 2), 1 << u | 1 << v)
-
-    return placed
+    return lambda adj, u, v: _mono_copy(n, adj, p) is not None
 
 
 def _grow(allowed: int, need: int, adj: Sequence[int], x: int, y: int, used: int = 0) -> bool:
@@ -749,44 +739,14 @@ def _path_leftovers(
 
 # --- placement plans -------------------------------------------------------------
 #
-# A plan places pattern vertices one at a time; a map is indexed by
-# placement position.  Each step is (its position, the positions of its
-# pattern neighbors placed before it, the earlier position its image must
-# exceed or -1, its pattern degree, and its frontier: the earlier positions
-# it or a later step refers to, or None when the mono placer need not
-# remember the step's failures).  A whole-graph plan places vertices
-# 0..order-1 in order, so positions are pattern vertices.  An anchored plan
-# starts with a pattern edge at positions 0 and 1, already on the host edge
-# uv.  Two placers run plans: one in a color class, one for rainbow copies.
+# A plan places pattern vertices 0..order-1 one at a time, so a map is
+# indexed by pattern vertex.  Step j is (the placed pattern neighbors of
+# vertex j, the earlier vertex its image must exceed or -1, its pattern
+# degree, and its frontier: the earlier vertices it or a later step refers
+# to, or None when the mono placer need not remember the step's failures).
+# Two placers run plans: one in a color class, one for rainbow copies.
 
-_Plan = tuple[tuple[int, tuple[int, ...], int, int, "tuple[int, ...] | None"], ...]
-
-
-def _neighbors(p: PatternSpec) -> list[list[int]]:
-    nbrs: list[list[int]] = [[] for _ in range(pattern_order(p))]
-    for a, b in pattern_edges(p):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    return nbrs
-
-
-def _steps(seq: Sequence[int], nbrs: list[list[int]], above: Sequence[int], first: int) -> _Plan:
-    """The plan placing the pattern vertices seq[first:] after seq[:first]."""
-    pos = {x: i for i, x in enumerate(seq)}
-    steps = []
-    referred: set[int] = set()
-    for i in range(len(seq) - 1, first - 1, -1):
-        x = seq[i]
-        placed = tuple(pos[y] for y in nbrs[x] if pos[y] < i)
-        bound = pos[above[x]] if above[x] >= 0 else -1
-        referred.update(placed)
-        if bound >= 0:
-            referred.add(bound)
-        frontier = None  # the first step runs once; the last three are cheap to redo
-        if first < i < len(seq) - 3:
-            frontier = tuple(sorted(y for y in referred if y < i))
-        steps.append((i, placed, bound, len(nbrs[x]), frontier))
-    return tuple(reversed(steps))
+_Plan = tuple[tuple[tuple[int, ...], int, int, "tuple[int, ...] | None"], ...]
 
 
 @lru_cache(maxsize=128)
@@ -817,76 +777,45 @@ def _whole_plan(p: PatternSpec) -> _Plan:
         first = 2 if isinstance(p, Star) else 1
         for x in range(first, order):
             above[x] = x - 1
-    return _steps(range(order), _neighbors(p), above, 0)
+    nbrs: list[list[int]] = [[] for _ in range(order)]
+    for a, b in pattern_edges(p):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    steps = []
+    referred: set[int] = set()
+    for x in range(order - 1, -1, -1):
+        placed = tuple(y for y in nbrs[x] if y < x)
+        referred.update(placed)
+        if above[x] >= 0:
+            referred.add(above[x])
+        frontier = None  # the first step runs once; the last three are cheap to redo
+        if 0 < x < order - 3:
+            frontier = tuple(sorted(y for y in referred if y < x))
+        steps.append((placed, above[x], len(nbrs[x]), frontier))
+    return tuple(reversed(steps))
 
 
-@lru_cache(maxsize=128)
-def _anchor_plans(p: PatternSpec) -> tuple[_Plan, ...]:
-    """The ways to lay a pattern edge ab on a host edge uv, a at position 0
-    and b at position 1, each with the plan placing the other vertices.
-
-    Every edge is tried in both directions, except on paths and linear
-    forests: reversing a component maps one direction onto the other, and
-    components of equal order are interchangeable, so one direction of
-    each edge of one component per order covers every copy.  The placement
-    order is breadth first from {a, b}, then component by component, so
-    every vertex of the anchored component has a placed neighbor.  Anchored
-    plans carry no symmetry bounds.
-    """
-    order = pattern_order(p)
-    edges = pattern_edges(p)
-    nbrs = _neighbors(p)
-    if isinstance(p, (Path, LinearForestExact)):
-        anchors = []
-        base = 0
-        orders = (p.order,) if isinstance(p, Path) else p.orders
-        for i, o in enumerate(orders):
-            if o not in orders[:i]:
-                anchors.extend((base + j, base + j + 1) for j in range(o - 1))
-            base += o
-    else:
-        anchors = list(edges) + [(b, a) for a, b in edges]
-
-    def breadth_first(seq: list[int]) -> None:
-        for x in seq:  # the list grows while it is read
-            for y in nbrs[x]:
-                if y not in seq:
-                    seq.append(y)
-
-    plans = []
-    for a, b in anchors:
-        seq = [a, b]
-        breadth_first(seq)
-        for root in range(order):
-            if root not in seq:
-                seq.append(root)
-                breadth_first(seq)
-        plans.append(_steps(seq, nbrs, [-1] * order, 2))
-    return tuple(plans)
-
-
-def _place_mono(
-    n: int, adj: Sequence[int], plans: Sequence[_Plan], mapping: list[int], used: int
-) -> bool:
-    """Complete ``mapping`` by one of the plans inside one color class,
-    trying them in turn from the same placed positions (host set ``used``).
+def _place_mono(n: int, adj: Sequence[int], plan: _Plan) -> tuple[int, ...] | None:
+    """The first map the plan places inside one color class, or None.
 
     A vertex goes to a host vertex joined to the images of its placed
     neighbors and whose class degree is at least its pattern degree.
-    Candidates are tried in ascending order; on success ``mapping`` holds
-    the first map found.  What the rest of a plan can still do depends only
-    on the used host vertices and the images of the placed vertices it
-    refers to, so a step with a frontier that fails is remembered under
-    those and not retried, and a long path plan visits each (vertex set,
-    first, last vertex) at most once, as a subset DP would.
+    Candidates are tried in ascending order.  What the rest of the plan can
+    still do depends only on the used host vertices and the images of the
+    placed vertices it refers to, so a step with a frontier that fails is
+    remembered under those and not retried, and a long path plan visits
+    each (vertex set, first, last vertex) at most once, as a subset DP
+    would.
     """
     everyone = (1 << n) - 1
     shift = n.bit_length()
+    mapping = [-1] * len(plan)
+    failed: set[int] = set()
 
     def place(j: int, used: int) -> bool:
         if j == len(plan):
             return True
-        x, placed, above, degree, frontier = plan[j]
+        placed, above, degree, frontier = plan[j]
         if frontier is not None:
             key = used
             for y in frontier:
@@ -904,40 +833,33 @@ def _place_mono(
             cand ^= low
             w = low.bit_length() - 1
             if adj[w].bit_count() >= degree:
-                mapping[x] = w
+                mapping[j] = w
                 if place(j + 1, used | low):
                     return True
         if frontier is not None:
             failed.add(key)
         return False
 
-    for plan in plans:
-        failed: set[int] = set()
-        if place(0, used):
-            return True
-    return False
+    return tuple(mapping) if place(0, 0) else None
 
 
-def _place_rainbow(
-    n: int, colors: Sequence[int], plans: Sequence[_Plan], mapping: list[int], used: int,
-    taken: set[int],
-) -> bool:
-    """Complete ``mapping`` by one of the plans so that the new edges carry
-    decided colors (0 = undecided), pairwise distinct and outside ``taken``,
-    trying the plans in turn from the same placed positions (host set
-    ``used``).
+def _place_rainbow(n: int, colors: Sequence[int], plan: _Plan) -> tuple[int, ...] | None:
+    """The first map the plan places with its edges on decided colors
+    (0 = undecided), pairwise distinct, or None.
 
     A vertex with no placed neighbor only goes where at least its pattern
     degree of distinct decided colors meet.  Candidates are tried in
-    ascending order; on success ``mapping`` holds the first map found.
+    ascending order.
     """
 
     base = _bases(n)
+    mapping = [-1] * len(plan)
+    taken: set[int] = set()
 
     def place(j: int, used: int) -> bool:
         if j == len(plan):
             return True
-        x, placed, above, degree, _ = plan[j]
+        placed, above, degree, _ = plan[j]
         spread = 0 if placed else degree  # colors a vertex with no placed neighbor needs
         for w in range(mapping[above] + 1 if above >= 0 else 0, n):
             if used >> w & 1 or spread > 1 and _color_degree(n, colors, w) < spread:
@@ -951,17 +873,14 @@ def _place_rainbow(
                     break
                 new.append(c)
             else:
-                mapping[x] = w
+                mapping[j] = w
                 taken.update(new)
                 if place(j + 1, used | 1 << w):
                     return True
                 taken.difference_update(new)
         return False
 
-    for plan in plans:
-        if place(0, used):
-            return True
-    return False
+    return tuple(mapping) if place(0, 0) else None
 
 
 @lru_cache(maxsize=64)
@@ -996,10 +915,8 @@ def _color_degree(n: int, colors: Sequence[int], w: int) -> int:
 
 def _mono_copy(n: int, adj: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
     """Lexicographically least map of a copy of p in one color class."""
-    mapping = [-1] * pattern_order(p)
-    if len(mapping) <= n and _place_mono(n, adj, (_whole_plan(p),), mapping, 0):
-        return tuple(mapping)
-    return None
+    plan = _whole_plan(p)
+    return _place_mono(n, adj, plan) if len(plan) <= n else None
 
 
 def _rainbow_copy(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, ...] | None:
@@ -1014,10 +931,7 @@ def _rainbow_copy(n: int, colors: Sequence[int], p: PatternSpec) -> tuple[int, .
     in_use.discard(0)
     if len(plan) > n or len(in_use) < len(pattern_edges(p)):
         return None
-    mapping = [-1] * len(plan)
-    if _place_rainbow(n, colors, (plan,), mapping, 0, set()):
-        return tuple(mapping)
-    return None
+    return _place_rainbow(n, colors, plan)
 
 
 # --- public operations on colorings -------------------------------------------
@@ -1074,27 +988,16 @@ def rainbow_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], 
     for a decided edge uv, or None when p does not fit in K_n.
 
     As in :func:`mono_test`, the test assumes that no rainbow copy avoids
-    uv and looks only for copies through it: a star centred at u or v by
-    its number of distinct decided colors, u first, and every other
-    pattern by its anchored plans through the rainbow placer.  Unlike
-    :func:`_rainbow_copy`, it leaves the count of colors in use to its
-    caller, which keeps it per color class.
+    uv.  A star is looked for only through uv: centred at u or v, by its
+    number of distinct decided colors, u first.  Every other pattern runs
+    the whole-graph :func:`_rainbow_copy`, whose answer is the anchored
+    one under that assumption.
     """
-    order = pattern_order(p)
-    if order > n:
+    if pattern_order(p) > n:
         return None
     if isinstance(p, Star):
         leaves = p.leaves
         return lambda colors, u, v: (
             _color_degree(n, colors, u) >= leaves or _color_degree(n, colors, v) >= leaves
         )
-    plans = _anchor_plans(p)
-    if not plans:
-        return _present
-    base = _bases(n)
-
-    def placed(colors: Sequence[int], u: int, v: int) -> bool:
-        taken = {colors[base[u] + v if u < v else base[v] + u]}
-        return _place_rainbow(n, colors, plans, [u, v] + [-1] * (order - 2), 1 << u | 1 << v, taken)
-
-    return placed
+    return lambda colors, u, v: _rainbow_copy(n, colors, p) is not None

@@ -125,7 +125,7 @@ def _scan(
     are then decided in rank order, one node per color tried.  A tracked
     pair (color, pattern) prunes a branch once the pattern shows up in that
     color class of the decided edges; the RAINBOW key tracks rainbow copies
-    instead.  Only copies through the newest edge are looked for, since the
+    instead.  Every copy a test can find uses the newest edge, since the
     branch was free of every tracked pattern before it: each pattern's
     anchored test is built once per scan by ``patterns.mono_test`` or
     ``patterns.rainbow_test``, and a pattern that does not fit in K_n gets

@@ -357,6 +357,30 @@ def test_node_counts_and_witnesses_are_pinned():
     )
 
 
+
+def test_scans_through_the_explicit_and_rainbow_placers_are_pinned():
+    # the mono test of p4plus and the rainbow test of every pattern but a
+    # star run the whole-graph placers: verdicts, node counts and least
+    # witnesses stay as they were under the placers' edge-anchored plans
+    for k, rainbow, n, nodes, colors in [
+        (4, Path(5), 5, 102, (1, 1, 1, 1, 2, 3, 4, 4, 3, 2)),
+        (4, P4_PLUS, 5, 482, (1, 1, 1, 2, 3, 3, 4, 3, 4, 4)),
+        (5, Path(5), 5, 183_005, None),
+        (3, CompleteGraph(3), 6, 4_278, None),
+    ]:
+        rep = gr_desk_verify(k, rainbow, Path(4), n, mode="full")
+        got = None if rep.counterexample is None else rep.counterexample.colors
+        assert (rep.holds, rep.nodes_explored, got) == (colors is None, nodes, colors), (k, n)
+
+    rep = brute_force_ramsey(P4_PLUS, Path(6), 9)
+    assert rep.value.value == 7 and rep.nodes_explored == 4_067
+    assert rep.extremal_witness.colors == (1, 1, 1, 1, 1) + (2,) * 10
+    rep = brute_force_ramsey(P4_PLUS, Kipas(4), 9)
+    assert rep.value.value == 9 and rep.nodes_explored == 52_974
+    assert rep.extremal_witness.colors == (
+        1, 1, 1, 2, 2, 2, 2, 1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1,
+    )
+
 def test_forest_checks_keep_their_counterexamples_and_node_counts():
     # universal checks that need a linear forest, pinned while the anchored
     # forest test still ran the placer: the verdict, the node count and the
