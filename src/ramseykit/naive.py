@@ -2,12 +2,13 @@
 
 Deliberately simple enumerations (all subsets, all injections) used as
 independent oracles by the self-test and the test suite.  Nothing here
-shares code with the bitmask detection paths.
+shares code with the bitmask detection paths or the search's scan.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from typing import Sequence
 
 from .coloring import EdgeColoring
 from .patterns import (
@@ -130,3 +131,32 @@ def naive_has_rainbow(coloring: EdgeColoring, p: PatternSpec) -> bool:
         if len(set(cols)) == len(cols):
             return True
     return False
+
+
+def naive_first_good(
+    n: int,
+    k: int,
+    allowed: Sequence[Sequence[int]],
+    tracked: Sequence[tuple[int, PatternSpec]],
+    surjective: bool,
+) -> EdgeColoring | None:
+    """First coloring of K_n, edge i (in ``pair_rank`` order) colored from
+    ``allowed[i]``, without any tracked pattern, or None.
+
+    Every choice is walked with ``itertools.product``: the first edge
+    varies slowest and each edge takes its colors in the order given.  Each
+    (key, pattern) is tested on the whole coloring, as a mono pattern of
+    color key, or as a rainbow pattern when the key is 0.  ``surjective``
+    keeps only colorings that use all k colors.
+    """
+    for colors in product(*allowed):
+        exact = len(set(colors)) == k
+        if surjective and not exact:
+            continue
+        coloring = EdgeColoring(n, k, colors, exact_flag=exact)
+        if not any(
+            naive_has_mono(coloring, key, p) if key else naive_has_rainbow(coloring, p)
+            for key, p in tracked
+        ):
+            return coloring
+    return None

@@ -19,9 +19,9 @@ The search binds one anchored test per tracked pattern and scan, built by
 and its fit in K_n once.  In a color class, paths, stars, cliques, kipas
 and exact linear forests have fast paths through the decided edge (a path
 or kipas rim fits its last two vertices in closed form, a triangle is one
-AND, a forest tries each path through uv against the rest); explicit
-patterns, rainbow patterns other than stars and the witness finders run
-the placers, which give the least map.
+AND and a K_4 one loop, a forest tries each path through uv against the
+rest); explicit patterns, rainbow patterns other than stars and the
+witness finders run the placers, which give the least map.
 
 Conventions: every graph contains a path of order 1 (a single vertex), and
 the empty graph contains no linear forest with at least one edge.  The P_1
@@ -549,7 +549,8 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
     so every copy it holds uses uv, and gives the whole-graph answer under
     that assumption.  Search engines add one edge at a time and stop at the
     first copy, so the assumption holds after every edge they add.  Paths,
-    stars, cliques and kipas are looked for only through uv, exact linear
+    stars, cliques and kipas are looked for only through uv (a triangle or
+    a K_4 as a vertex or an edge in N(u) ∩ N(v)), exact linear
     forests through :func:`_forest_through`, and an explicit pattern by the
     whole-graph :func:`_mono_copy`.  A ``LinearForestMin``
     test runs the greedy bound on the whole class, then each of
@@ -586,6 +587,8 @@ def mono_test(n: int, p: PatternSpec) -> Callable[[Sequence[int], int, int], boo
         rest = order - 2  # a clique on uv plus K_rest in N(u) ∩ N(v)
         if rest == 1:
             return lambda adj, u, v: adj[u] & adj[v] != 0
+        if rest == 2:
+            return _k4_through
         return lambda adj, u, v: _has_clique(adj, adj[u] & adj[v], rest)
     return lambda adj, u, v: _mono_copy(n, adj, p) is not None
 
@@ -596,10 +599,11 @@ def _grow(allowed: int, need: int, adj: Sequence[int], x: int, y: int, used: int
     itself.  With x == y it asks for a path through that vertex.
 
     The x end walks by all but two of the missing vertices and the last two
-    go to either end (:func:`_walk`, :func:`_fit_two`).  With at most five
-    missing, the y end is then tried the same way: every split of up to
-    five vertices between the ends puts all but two at one of them.  With
-    more missing, the y end takes one step and the rest is grown again.
+    go to either end (:func:`_walk`, :func:`_fit_two`; with three missing,
+    one step and :func:`_fit_two` in line).  With at most five missing, the
+    y end is then tried the same way: every split of up to five vertices
+    between the ends puts all but two at one of them.  With more missing,
+    the y end takes one step and the rest is grown again.
     """
     if not used:
         used = 1 << x | 1 << y
@@ -610,6 +614,10 @@ def _grow(allowed: int, need: int, adj: Sequence[int], x: int, y: int, used: int
         return need <= 0 or (adj[x] | adj[y]) & free != 0
     if need == 2:
         return _fit_two(adj, free, 1 << x, y)
+    if need == 3:  # one step from either end, then two more
+        return _fit_two(adj, free, adj[x] & free, y) or (
+            x != y and _fit_two(adj, free, adj[y] & free, x)
+        )
     if _walk(adj, free, x, y, need - 2):
         return True
     if need <= 5:
@@ -662,15 +670,38 @@ def _fit_two(adj: Sequence[int], free: int, ends: int, y: int) -> bool:
 
 
 def _kipas_through(order: int, adj: Sequence[int], u: int, v: int) -> bool:
-    """A kipas using uv: uv is a spoke (hub u or v, rim through the other
-    end) or a rim edge (hub in N(u) ∩ N(v), rim through uv)."""
-    for hub, rim in ((u, v), (v, u)):
-        nb = adj[hub]
-        if nb.bit_count() >= order and _grow(nb, order - 1, adj, rim, rim, 1 << rim):
-            return True
-    for hub in _bits(adj[u] & adj[v]):
-        nb = adj[hub]
+    """A kipas using uv: uv is a spoke (hub u, then hub v, rim through the
+    other end) or a rim edge (each hub in N(u) ∩ N(v), rim through uv).
+
+    From order 2 on, every kipas through uv has a triangle on uv (a spoke's
+    hub with a rim neighbour of its rim end, or a rim edge's hub), so
+    without a common neighbour of u and v there is none.
+    """
+    common = adj[u] & adj[v]
+    if not common:
+        return order < 2
+    nb = adj[u]
+    if nb.bit_count() >= order and _grow(nb, order - 1, adj, v, v, 1 << v):
+        return True
+    nb = adj[v]
+    if nb.bit_count() >= order and _grow(nb, order - 1, adj, u, u, 1 << u):
+        return True
+    while common:
+        low = common & -common
+        common ^= low
+        nb = adj[low.bit_length() - 1]
         if nb.bit_count() >= order and _grow(nb, order - 2, adj, u, v):
+            return True
+    return False
+
+
+def _k4_through(adj: Sequence[int], u: int, v: int) -> bool:
+    """A K_4 on uv: an edge inside N(u) ∩ N(v), looked for from its lower end."""
+    common = adj[u] & adj[v]
+    while common:
+        low = common & -common
+        common ^= low
+        if adj[low.bit_length() - 1] & common:
             return True
     return False
 

@@ -136,8 +136,9 @@ def _scan(
     uses them all.
 
     The per-node work is kept small: a node counts itself on the budget
-    without a call, calls its color's bound mono tests in line, and runs
-    the rainbow tests only when a rainbow pattern is tracked.
+    without a call, makes one call for its color's mono patterns (their
+    tests are bound into one per color up front), and runs the rainbow
+    tests only when a rainbow pattern is tracked.
 
     Unused twins mirror.  Twins are the colors of the first free edge's
     tuple that no fixed edge uses, when every free edge allows that tuple
@@ -155,8 +156,8 @@ def _scan(
     ecolor = [0] * len(edges)
     adj: list[list[int]] = [[0] * n for _ in range(k + 1)]
     class_edges = [0] * (k + 1)
-    # (edges a copy needs, anchored test) per color, bound once for this n
-    mono: list[list[tuple[int, Callable]]] = [[] for _ in range(k + 1)]
+    # (edges a copy needs, anchored test) per pattern, bound once for this n
+    bound: list[list[tuple[int, Callable]]] = [[] for _ in range(k + 1)]
     rainbow: list[tuple[int, Callable]] = []
     for key, p in tracked:
         if key == RAINBOW:
@@ -164,7 +165,18 @@ def _scan(
             if size <= k and (test := rainbow_test(n, p)) is not None:
                 rainbow.append((size, test))
         elif (test := mono_test(n, p)) is not None:
-            mono[key].append((pattern_min_edges(p), test))
+            bound[key].append((pattern_min_edges(p), test))
+    # one (least edges, test) per color, so dfs makes one call: the color's
+    # one test, or each of its tests in turn (a test is exact, so one whose
+    # pattern needs more edges than the class has just answers False); a
+    # color with no test never holds enough edges to be tested
+    mono = [
+        (len(edges) + 1, None) if not tests
+        else tests[0] if len(tests) == 1
+        else (min(m for m, _ in tests),
+              lambda row, u, v, ts=tests: any(t(row, u, v) for _, t in ts))
+        for tests in bound
+    ]
 
     def put(i: int, c: int) -> None:
         u, v = edges[i]
@@ -175,13 +187,6 @@ def _scan(
 
     # Every test is anchored on the edge just colored: the coloring before
     # it held no tracked pattern, or its branch would have been cut.
-    def mono_hit(c: int, u: int, v: int) -> bool:
-        row = adj[c]
-        for min_edges, test in mono[c]:
-            if class_edges[c] >= min_edges and test(row, u, v):
-                return True
-        return False
-
     def rainbow_hit(u: int, v: int) -> bool:
         in_use = k + 1 - class_edges.count(0)  # class_edges[0] stays 0
         for size, test in rainbow:
@@ -202,7 +207,8 @@ def _scan(
         put(i, c)
         if rainbow_seen:
             continue
-        if c not in hit and mono_hit(c, *edges[i]):
+        min_edges, test = mono[c]
+        if c not in hit and class_edges[c] >= min_edges and test(adj[c], *edges[i]):
             hit.add(c)
         rainbow_seen = rainbow_hit(*edges[i])
     fixed = {choices[0] for choices in allowed if len(choices) == 1}
@@ -211,7 +217,7 @@ def _scan(
         if rainbow_seen or c in hit:
             return None
     # patterns present in the empty graph (single-vertex paths) hold everywhere
-    if any(min_edges == 0 for specs in mono for min_edges, _ in specs):
+    if any(min_edges == 0 for min_edges, _ in mono):
         return None
 
     # the twin colors, whose mirror images dfs counts (see the docstring)
@@ -252,15 +258,13 @@ def _scan(
             row[u] |= bv
             row[v] |= bu
             class_edges[c] += 1
-            size = class_edges[c]
-            for min_edges, test in mono[c]:  # mono_hit in line: this runs at every node
-                if size >= min_edges and test(row, u, v):
-                    break
-            else:
-                if not (rainbow and rainbow_hit(u, v)):
-                    got = dfs(j + 1)
-                    if got is not None:
-                        return got
+            min_edges, test = mono[c]
+            if (class_edges[c] < min_edges or not test(row, u, v)) and not (
+                rainbow and rainbow_hit(u, v)
+            ):
+                got = dfs(j + 1)
+                if got is not None:
+                    return got
             ecolor[i] = 0
             row[u] ^= bv  # the bits were clear: no edge is colored twice
             row[v] ^= bu

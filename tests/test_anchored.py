@@ -30,6 +30,7 @@ from ramseykit.patterns import (
     Path,
     Star,
     _grow,
+    _kipas_through,
     _mono_copy,
     _rainbow_copy,
     max_linear_forest_edges,
@@ -42,8 +43,10 @@ from ramseykit.patterns import (
 MONO_PATTERNS = [
     Path(2), Path(3), Path(4), Path(5), Path(6), Path(7),
     Star(1), Star(2), Star(3),
-    Kipas(1), Kipas(2), Kipas(3), Kipas(4), Kipas(5),
-    CompleteGraph(2), CompleteGraph(3), CompleteGraph(4),
+    # Kipas(6)'s rims miss 4 vertices and its spokes 5, past the direct
+    # three-vertex branch of _grow; K_5 is the first clique left to _has_clique
+    Kipas(1), Kipas(2), Kipas(3), Kipas(4), Kipas(5), Kipas(6),
+    CompleteGraph(2), CompleteGraph(3), CompleteGraph(4), CompleteGraph(5),
     LinearForestExact((2, 2)), LinearForestExact((3, 3)), LinearForestExact((2, 4)),
     LinearForestExact((2, 2, 2)), LinearForestExact((3, 2, 2)),
     # two or more components left after the anchored one, equal orders,
@@ -88,7 +91,7 @@ def _naive_rainbow(n, colors, p):
 def test_anchored_mono_matches_whole_graph_and_naive():
     rng = random.Random(11)
     cases = hits = 0
-    for trial in range(408):  # 12 graphs per pattern
+    for trial in range(432):  # 12 graphs per pattern
         p = MONO_PATTERNS[trial % len(MONO_PATTERNS)]
         # paths and kipas up to the sizes the benchmark searches, forests
         # up to K_10, which leaves room around a 9-vertex (4, 3, 2)
@@ -139,6 +142,28 @@ def test_anchored_rainbow_matches_whole_graph_and_naive():
     assert cases > 3000 and hits > 800, (cases, hits)
 
 
+def test_kipas_needs_a_triangle_on_its_edge():
+    # from order 2 on, an edge whose ends have no common neighbour is on no
+    # kipas, however many paths run through it; Kipas(1) is the edge itself
+    rng = random.Random(14)
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.5:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for u, v in combinations(range(n), 2):
+            if adj[u] >> v & 1 and not adj[u] & adj[v]:
+                assert _kipas_through(1, adj, u, v) and _kipas_through(1, adj, v, u)
+                for order in range(2, n):
+                    assert not _kipas_through(order, adj, u, v), (order, adj, u, v)
+                    assert not _kipas_through(order, adj, v, u), (order, adj, u, v)
+                cases += 1
+    assert cases > 400, cases
+
+
 def test_smallest_patterns_are_the_edge_itself():
     adj = [0b10, 0b01, 0]
     for p in (Path(1), Path(2), CompleteGraph(1), CompleteGraph(2), Kipas(1), Star(1)):
@@ -180,6 +205,7 @@ def test_grow_matches_path_enumeration():
     # with random allowed sets and the single-vertex path x == y
     rng = random.Random(13)
     cases = hits = 0
+    three = [0, 0]  # need == 3 with x != y, with x == y
     for _ in range(3000):
         n = rng.randint(1, 9)
         adj = [0] * n
@@ -207,7 +233,10 @@ def test_grow_matches_path_enumeration():
         assert _grow(allowed, need, adj, x, y, used) == want, (adj, allowed, path, order)
         cases += 1
         hits += want
+        if need == 3:  # the direct branch, from a single vertex and from an edge
+            three[x == y] += 1
     assert hits > 800 and cases - hits > 800, (cases, hits)
+    assert min(three) > 100, three
     # the middle edge of the path 0-1-...-7 grows to all 8 vertices only by
     # the even split, 3 vertices at each end; that of 0-1-...-9 only by 4 + 4,
     # so its y end steps twice before the walks can finish

@@ -15,6 +15,7 @@ from ramseykit.patterns import (
     max_linear_forest,
 )
 from ramseykit.search import (
+    RAINBOW,
     brute_force_ramsey,
     compute_bk,
     compute_t,
@@ -624,3 +625,63 @@ def test_mirror_skips_twins_that_an_earlier_free_edge_uses():
     assert _scan_outcome(4, 3, [(1, 2, 3)] * 5 + [(3,)], paths) == (
         7, 22, (3, 1, 2, 2, 1, 3)
     )
+
+
+# P_4 twice, so that it is drawn more often
+_ORACLE_MONO = [Path(2), Path(3), Path(4), Path(4), Path(5), Star(2), Star(3), Kipas(2),
+                Kipas(3), CompleteGraph(3), CompleteGraph(4), LinearForestExact((2, 2)),
+                LinearForestExact((2, 3)), LinearForestMin(2, 2), P4_PLUS]
+_ORACLE_RAINBOW = [Path(3), Path(4), Star(2), Star(3), P4_PLUS]
+
+
+def _oracle_tables(count, limit=2000):
+    """Random (n, k, allowed, tracked, surjective) with n <= 5 and k <= 3 and
+    at most ``limit`` colorings.  In every other table the free edges share
+    one tuple, and in every fourth the colors also track the same patterns,
+    so that table is color-symmetric."""
+    import random
+    from math import prod
+
+    rng = random.Random(17)
+    for trial in range(count):
+        n, k = rng.choice((2, 3, 4, 4, 5, 5, 5)), rng.choice((1, 2, 2, 3, 3))
+        shared_tuple, symmetric = trial % 2 == 0, trial % 4 == 0
+        shared = tuple(range(1, k + 1))
+        allowed = []
+        for _ in range(n * (n - 1) // 2):
+            if rng.random() < 0.15:
+                allowed.append((rng.randint(1, k),))
+            elif shared_tuple:
+                allowed.append(shared)
+            else:
+                allowed.append(tuple(sorted(rng.sample(shared, rng.randint(1, k)))))
+        for i in rng.sample(range(len(allowed)), len(allowed)):
+            if prod(map(len, allowed)) <= limit:
+                break
+            allowed[i] = (allowed[i][0],)
+        picks = rng.sample(_ORACLE_MONO, rng.randint(1, 2))
+        tracked = [(c, p) for c in range(1, k + 1)
+                   for p in (picks if symmetric else rng.sample(_ORACLE_MONO, rng.randint(0, 2)))]
+        if rng.random() < 0.5:
+            tracked.append((RAINBOW, rng.choice(_ORACLE_RAINBOW)))
+        yield n, k, allowed, tracked, rng.random() < 0.4
+
+
+def test_scan_returns_the_naive_first_good_coloring(monkeypatch):
+    # the rank-order scan, mirrored and plain, against itertools.product
+    # over the allowed lists with every pattern tested by the naive oracles
+    from ramseykit import search
+    from ramseykit.naive import naive_first_good
+
+    found = mirrored = 0
+    for n, k, allowed, tracked, surjective in _oracle_tables(400):
+        want = naive_first_good(n, k, allowed, tracked, surjective)
+        want = want and (want.colors, want.exact_flag)
+        for mirror in (True, False):
+            monkeypatch.setattr(search, "_MIRROR", mirror)
+            budget = search._Budget(10**6)
+            got = search._scan(n, k, allowed, tracked, surjective, budget)
+            assert (got and (got.colors, got.exact_flag)) == want, (n, k, allowed, tracked)
+            mirrored += budget.mirrored > 0
+        found += want is not None
+    assert 140 < found < 280 and mirrored > 12, (found, mirrored)
